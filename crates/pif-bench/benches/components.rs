@@ -212,12 +212,53 @@ fn bench_pipeline(c: &mut Criterion) {
     g.finish();
 }
 
+/// Ablations: the design choices the paper justifies in §4-§5, measured
+/// as engine runs with the feature weakened.
+fn bench_ablations(c: &mut Criterion) {
+    let trace = bench_trace(120_000);
+    let engine = Engine::new(EngineConfig::paper_default());
+    let mut g = c.benchmark_group("ablation");
+    g.sample_size(10);
+
+    g.bench_function("pif_paper_design", |b| {
+        b.iter(|| {
+            black_box(engine.run(
+                trace.iter().copied(),
+                Pif::new(PifConfig::paper_default()),
+                RunOptions::new(),
+            ))
+        })
+    });
+    g.bench_function("pif_no_temporal_compactor", |b| {
+        let mut cfg = PifConfig::paper_default();
+        cfg.temporal_entries = 1; // effectively disabled
+        b.iter(|| black_box(engine.run(trace.iter().copied(), Pif::new(cfg), RunOptions::new())))
+    });
+    g.bench_function("pif_single_block_regions", |b| {
+        let mut cfg = PifConfig::paper_default();
+        cfg.geometry = pif_types::RegionGeometry::new(0, 0).unwrap();
+        b.iter(|| black_box(engine.run(trace.iter().copied(), Pif::new(cfg), RunOptions::new())))
+    });
+    g.bench_function("pif_tiny_history", |b| {
+        let mut cfg = PifConfig::paper_default();
+        cfg.history_capacity = 1024;
+        b.iter(|| black_box(engine.run(trace.iter().copied(), Pif::new(cfg), RunOptions::new())))
+    });
+    g.bench_function("pif_one_sab", |b| {
+        let mut cfg = PifConfig::paper_default();
+        cfg.sab_count = 1;
+        b.iter(|| black_box(engine.run(trace.iter().copied(), Pif::new(cfg), RunOptions::new())))
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_cache,
     bench_bpred,
     bench_compactors,
     bench_history_and_sab,
-    bench_pipeline
+    bench_pipeline,
+    bench_ablations
 );
 criterion_main!(benches);

@@ -3,10 +3,12 @@
 //! Two suites live in `benches/`:
 //!
 //! * `components` — microbenchmarks of every hardware structure (caches,
-//!   predictors, compactors, history buffer, SABs, front end, engine);
-//! * `figures` — one benchmark per paper table/figure, timing the
-//!   experiment runners at a reduced scale (the full-scale numbers are
-//!   produced by the `pif-experiments` binaries).
+//!   predictors, compactors, history buffer, SABs, front end, engine),
+//!   plus engine runs of the PIF design ablations;
+//! * `trace_codec` — v1/v2 trace encode and decode throughput.
+//!
+//! Whole figure runs are timed end to end by the repository benchmark
+//! (`pifbench/`), not here.
 
 #![warn(missing_docs)]
 
@@ -24,16 +26,6 @@ pub fn bench_trace(instructions: usize) -> Vec<RetiredInstr> {
         .to_vec()
 }
 
-/// The benchmark experiment scale: small enough for Criterion iteration,
-/// large enough to exercise real cache pressure.
-pub fn bench_scale() -> pif_experiments::Scale {
-    pif_experiments::Scale {
-        instructions: 120_000,
-        footprint: 0.15,
-        warmup_fraction: 0.3,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -41,6 +33,5 @@ mod tests {
     #[test]
     fn fixtures_produce_data() {
         assert_eq!(bench_trace(1_000).len(), 1_000);
-        assert_eq!(bench_scale().instructions, 120_000);
     }
 }

@@ -27,9 +27,7 @@
 //! drop((core0, core1));
 //! ```
 
-use std::sync::Arc;
-
-use parking_lot::RwLock;
+use std::sync::{Arc, RwLock};
 
 use pif_sim::cache::AccessOutcome;
 use pif_sim::{PrefetchContext, Prefetcher};
@@ -41,6 +39,11 @@ use crate::index::IndexTable;
 use crate::sab::SabPool;
 use crate::spatial::SpatialCompactor;
 use crate::temporal::TemporalCompactor;
+
+/// Lock-poisoning message: a core that panics mid-update may leave a
+/// history/index pair inconsistent, so the other cores must not go on
+/// predicting from it.
+const POISONED: &str = "a core panicked while updating shared PIF storage";
 
 /// One trap level's shared learned state.
 #[derive(Debug)]
@@ -95,7 +98,7 @@ impl SharedPifStorage {
         } else {
             0
         };
-        self.levels[idx].read().history.len()
+        self.levels[idx].read().expect(POISONED).history.len()
     }
 }
 
@@ -169,7 +172,7 @@ impl Prefetcher for SharedPif {
 
         // Advance active streams under a read lock.
         {
-            let shared = self.storage.levels[level].read();
+            let shared = self.storage.levels[level].read().expect(POISONED);
             if self.sabs.advance(
                 level,
                 block,
@@ -190,7 +193,7 @@ impl Prefetcher for SharedPif {
         // Open a new stream: index lookup mutates LRU state, so take the
         // write lock.
         {
-            let mut shared = self.storage.levels[level].write();
+            let mut shared = self.storage.levels[level].write().expect(POISONED);
             let Some(pos) = shared.index.lookup(block) else {
                 return;
             };
@@ -224,7 +227,7 @@ impl Prefetcher for SharedPif {
         let Some(admitted) = local.temporal.filter(finished) else {
             return;
         };
-        let mut shared = self.storage.levels[level].write();
+        let mut shared = self.storage.levels[level].write().expect(POISONED);
         let pos = shared
             .history
             .append(admitted.record, admitted.trigger_not_prefetched);

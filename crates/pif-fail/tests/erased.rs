@@ -10,15 +10,30 @@
 #![cfg(not(feature = "fail-inject"))]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's allocation count while a measurement is armed
+    /// (`None` = disarmed). Counting per thread keeps allocations made
+    /// concurrently by sibling tests and the harness out of the count;
+    /// a `const`-initialized `Cell` has no destructor, so the allocator
+    /// can touch it without allocating or racing thread teardown.
+    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn count_alloc() {
+    ALLOCS.with(|n| {
+        if let Some(count) = n.get() {
+            n.set(Some(count + 1));
+        }
+    });
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -27,7 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -35,10 +50,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations the calling thread makes while running `f`.
 fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    ALLOCS.with(|n| n.set(Some(0)));
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::take).expect("armed above")
 }
 
 /// A tight loop studded with failpoints, shaped like the hot paths that

@@ -19,8 +19,9 @@
 //! piflab cache stats|clear [--cache-dir DIR]
 //! ```
 //!
-//! `run` executes committed figure specs (see `piflab list`) and writes
-//! one `pif-lab-sweep/v1` JSON report per spec. `check` compares a fresh
+//! `run` executes committed figure specs (see `piflab list`), writes one
+//! `pif-lab-sweep/v1` JSON report per spec, and, unless `--quiet`, prints
+//! the figure's tables (see `pif_lab::render`). `check` compares a fresh
 //! report against a committed golden baseline with per-metric tolerances
 //! and exits non-zero on any violation — this is the CI gate that turns
 //! every figure into a regression test. `--smoke` is the CI profile:
@@ -57,8 +58,8 @@ use pif_lab::json::Json;
 use pif_lab::protocol::{Request, Response};
 use pif_lab::service::{LatencySummary, MetricsFormat, Service, ServiceConfig};
 use pif_lab::{
-    protocol, registry, report, run_spec_profiled, run_spec_stats, ResultCache, RunOptions, Scale,
-    SweepReport,
+    protocol, registry, render, report, run_spec_profiled, run_spec_stats, ResultCache, RunOptions,
+    Scale, SweepReport,
 };
 
 /// One dispatch-table row: verb, usage line, handler.
@@ -321,7 +322,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
             }
         }
         if !opts.quiet {
-            print_summary(&report);
+            print!("{}", render::render(&spec, &report));
         }
         println!("wrote {}", path.display());
     }
@@ -360,39 +361,6 @@ fn write_report_bytes(json: &str, path: &Path) -> Result<(), String> {
         }
     }
     std::fs::write(path, json).map_err(|e| format!("cannot write {}: {e}", path.display()))
-}
-
-/// A compact per-cell stdout summary (the pretty per-figure tables live
-/// in the `pif-experiments` binaries; this is the orchestrator's view).
-fn print_summary(report: &SweepReport) {
-    const HEADLINE: [&str; 6] = [
-        "miss_coverage",
-        "predictor_coverage",
-        "uipc",
-        "uipc_speedup_vs_none",
-        "retire_sep",
-        "footprint_mb",
-    ];
-    for cell in &report.cells {
-        let mut line = format!(
-            "  [{:>3}] {:<12} {:<14} {:<20}",
-            cell.index,
-            cell.workload,
-            cell.prefetcher.unwrap_or("-"),
-            cell.point
-        );
-        let mut shown = 0;
-        for name in HEADLINE {
-            if let Some(v) = cell.metric(name) {
-                line.push_str(&format!(" {name}={v:.4}"));
-                shown += 1;
-            }
-        }
-        if shown == 0 {
-            line.push_str(&format!(" metrics={}", cell.metrics.len()));
-        }
-        println!("{line}");
-    }
 }
 
 fn load(path: &str) -> Result<Json, String> {

@@ -85,11 +85,13 @@ pub mod profile;
 pub mod protocol;
 pub mod recorded;
 pub mod registry;
+pub mod render;
 pub mod report;
 pub mod sampled;
 mod scale;
 pub mod service;
 pub mod spec;
+mod tablefmt;
 
 pub use cache::{CacheKey, CacheStats, ResultCache};
 pub use measure::{density_metric, jump_cdf_metric, len_cdf_metric, offset_metric, runs_metric};
@@ -98,6 +100,7 @@ pub use report::{Cell, CheckSummary, Metric, SweepReport};
 pub use scale::Scale;
 pub use service::{default_threads, LatencySummary, MetricsFormat, Pool, PoolRunStats};
 pub use spec::{CdfKind, Measure, ParamAxis, PrefetcherKind, SweepSpec};
+pub use tablefmt::Table;
 
 #[doc(hidden)]
 pub use measure::jobs_executed;
@@ -520,12 +523,44 @@ pub(crate) fn config_entries(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tablefmt::{pct, speedup};
 
     fn tiny(threads: usize, smoke: bool) -> RunOptions<'static> {
         RunOptions::new()
             .scale(Scale::tiny())
             .threads(threads)
             .smoke(smoke)
+    }
+
+    /// `spec` run as `piflab run --smoke` runs it, after checking that its
+    /// rows are the spec's workloads in order and that every table `piflab
+    /// run` prints for it has one row per workload.
+    pub(crate) fn figure(spec: &SweepSpec) -> SweepReport {
+        let report = run_spec(spec, &tiny(2, true));
+        assert_eq!(report.workloads, spec.workload_names(), "{}", spec.name);
+        let text = render::render(spec, &report);
+        let rows = |w: &str| {
+            text.lines()
+                .filter(|l| l.split_whitespace().next() == Some(w))
+                .count()
+        };
+        let tables = rows(&report.workloads[0]);
+        assert!(tables > 0, "{}: no rows printed:\n{text}", spec.name);
+        for w in &report.workloads {
+            assert_eq!(rows(w), tables, "{}: rows of {w}:\n{text}", spec.name);
+        }
+        report
+    }
+
+    #[test]
+    fn pct_formats() {
+        assert_eq!(pct(0.995), "99.5%");
+        assert_eq!(pct(0.0), "0.0%");
+    }
+
+    #[test]
+    fn speedup_formats() {
+        assert_eq!(speedup(1.27), "1.27x");
     }
 
     #[test]
@@ -582,5 +617,286 @@ mod tests {
             speedup >= 1.0,
             "perfect cache should not slow down: {speedup}"
         );
+    }
+}
+
+// The figures' own tests, one module per paper figure: each runs the
+// figure's committed grid at tiny scale and checks what the figure shows.
+
+#[cfg(test)]
+mod fig2 {
+    mod tests {
+        use crate::registry;
+        use crate::tests::figure;
+
+        #[test]
+        fn tiny_run_produces_six_ordered_rows() {
+            let report = figure(&registry::fig2());
+            assert_eq!(report.workloads.len(), 6);
+            assert_eq!(report.workloads[0], "OLTP-DB2");
+            for cell in &report.cells {
+                for metric in ["miss", "access", "retire", "retire_sep"] {
+                    let v = cell.expect_metric(metric);
+                    assert!(
+                        (0.0..=1.0).contains(&v),
+                        "{}: {metric} = {v}",
+                        cell.workload
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod fig3 {
+    mod tests {
+        use crate::registry::{self, DENSITY_BUCKETS, RUN_BUCKETS};
+        use crate::tests::figure;
+        use crate::{density_metric, runs_metric};
+
+        #[test]
+        fn buckets_form_distributions() {
+            for cell in &figure(&registry::fig3()).cells {
+                let sum = |metric: fn(u32, u32) -> String, buckets: &[(u32, u32)]| -> f64 {
+                    buckets
+                        .iter()
+                        .map(|&(lo, hi)| cell.expect_metric(&metric(lo, hi)))
+                        .sum()
+                };
+                for (name, total) in [
+                    ("density", sum(density_metric, &DENSITY_BUCKETS)),
+                    ("runs", sum(runs_metric, &RUN_BUCKETS)),
+                ] {
+                    assert!(
+                        total > 0.95 && total < 1.01,
+                        "{}: {name} sums to {total}",
+                        cell.workload
+                    );
+                }
+                assert!(cell.expect_metric_u64("total_regions") > 0);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod fig7 {
+    mod tests {
+        use crate::jump_cdf_metric;
+        use crate::registry::{self, JUMP_CDF_BUCKETS};
+        use crate::tests::figure;
+
+        #[test]
+        fn cdfs_are_monotone_reaching_one() {
+            for cell in &figure(&registry::fig7()).cells {
+                let cdf: Vec<f64> = (0..JUMP_CDF_BUCKETS)
+                    .map(|i| cell.expect_metric(&jump_cdf_metric(i)))
+                    .collect();
+                assert!(
+                    cdf.windows(2).all(|w| w[0] <= w[1] + 1e-9),
+                    "{}: non-monotone CDF {cdf:?}",
+                    cell.workload
+                );
+                let last = cdf[JUMP_CDF_BUCKETS - 1];
+                assert!(
+                    (last - 1.0).abs() < 1e-6,
+                    "{}: CDF ends at {last}",
+                    cell.workload
+                );
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod fig8 {
+    mod tests {
+        use crate::offset_metric;
+        use crate::registry::{self, FIG8_REGION_SIZES, REGION_OFFSETS};
+        use crate::tests::figure;
+
+        #[test]
+        fn offsets_profile_shapes() {
+            for cell in &figure(&registry::fig8_offsets()).cells {
+                let frequency: Vec<f64> = REGION_OFFSETS
+                    .iter()
+                    .map(|&o| cell.expect_metric(&offset_metric(o)))
+                    .collect();
+                // +1 should be the most frequent neighbour (sequential
+                // flow); the offsets run -4..=-1, then +1..=+12.
+                let (plus1, plus12) = (frequency[4], frequency[15]);
+                assert!(
+                    plus1 >= plus12,
+                    "{}: +1 ({plus1}) should dominate +12 ({plus12})",
+                    cell.workload
+                );
+            }
+        }
+
+        #[test]
+        fn size_sweep_covers_all_sizes() {
+            let report = figure(&registry::fig8_sizes());
+            assert_eq!(report.cells.len(), 6 * FIG8_REGION_SIZES.len());
+            for cell in &report.cells {
+                for metric in ["miss_coverage_tl0", "miss_coverage_tl1"] {
+                    let v = cell.expect_metric(metric);
+                    assert!(
+                        (0.0..=1.0).contains(&v),
+                        "{}/{}: {metric} = {v}",
+                        cell.workload,
+                        cell.point
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod fig9 {
+    mod tests {
+        use crate::len_cdf_metric;
+        use crate::registry::{self, FIG9_HISTORY_SIZES, LENGTH_CDF_BUCKETS};
+        use crate::tests::figure;
+
+        #[test]
+        fn length_cdfs_valid() {
+            for cell in &figure(&registry::fig9_lengths()).cells {
+                let cdf: Vec<f64> = (0..LENGTH_CDF_BUCKETS)
+                    .map(|i| cell.expect_metric(&len_cdf_metric(i)))
+                    .collect();
+                assert!(
+                    cdf.windows(2).all(|w| w[0] <= w[1] + 1e-9),
+                    "{}: non-monotone CDF {cdf:?}",
+                    cell.workload
+                );
+            }
+        }
+
+        #[test]
+        fn history_sweep_is_monotonic_in_capacity() {
+            let report = figure(&registry::fig9_history());
+            assert_eq!(report.cells.len(), 6 * FIG9_HISTORY_SIZES.len());
+            for w in &report.workloads {
+                let series: Vec<f64> = FIG9_HISTORY_SIZES
+                    .iter()
+                    .map(|cap| {
+                        report
+                            .cell(w, None, &cap.to_string())
+                            .expect("history-capacity cell")
+                            .expect_metric("predictor_coverage")
+                    })
+                    .collect();
+                // Coverage should not *decrease* meaningfully with capacity.
+                assert!(
+                    series.windows(2).all(|p| p[1] >= p[0] - 0.02),
+                    "{w}: coverage dropped with capacity: {series:?}"
+                );
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod fig10 {
+    mod tests {
+        use crate::registry;
+        use crate::tests::figure;
+
+        #[test]
+        fn comparison_produces_sane_rows() {
+            let report = figure(&registry::fig10());
+            let mut perfect_logs = Vec::new();
+            for cell in &report.cells {
+                let prefetcher = cell.prefetcher.expect("engine cell");
+                let at = format!("{}/{prefetcher}", cell.workload);
+                let coverage = cell.expect_metric("miss_coverage");
+                assert!((0.0..=1.0).contains(&coverage), "{at}: coverage {coverage}");
+                if prefetcher == "None" {
+                    continue;
+                }
+                let s = cell.expect_metric("uipc_speedup_vs_none");
+                assert!(s > 0.5 && s < 5.0, "{at}: speedup {s}");
+                if prefetcher == "Perfect" {
+                    perfect_logs.push(s.ln());
+                }
+            }
+            assert_eq!(perfect_logs.len(), report.workloads.len());
+            let geomean = (perfect_logs.iter().sum::<f64>() / perfect_logs.len() as f64).exp();
+            assert!(geomean >= 1.0, "Perfect geomean speedup {geomean}");
+        }
+    }
+}
+
+#[cfg(test)]
+mod ablation {
+    mod tests {
+        use crate::registry::{self, AblationVariant};
+        use crate::tests::figure;
+        use crate::ParamAxis;
+
+        #[test]
+        fn variants_produce_valid_configs() {
+            // The grid's design points are the variants, in order, each
+            // running its variant's valid configuration.
+            let ParamAxis::PifPoints(points) = registry::ablation().axis else {
+                panic!("the ablation grid sweeps PIF design points");
+            };
+            assert_eq!(points.len(), AblationVariant::ALL.len());
+            for ((label, config), v) in points.iter().zip(AblationVariant::ALL) {
+                assert_eq!(label, v.label());
+                assert_eq!(*config, v.config(), "{label}");
+                assert!(config.validate().is_ok(), "{label} invalid");
+            }
+        }
+
+        #[test]
+        fn ablation_grid_runs_and_paper_design_is_competitive() {
+            let report = figure(&registry::ablation());
+            for w in &report.workloads {
+                let coverage = |v: AblationVariant| {
+                    report
+                        .cell(w, Some("PIF"), v.label())
+                        .expect("ablation variant cell")
+                        .expect_metric("miss_coverage")
+                };
+                for v in AblationVariant::ALL {
+                    let c = coverage(v);
+                    assert!((0.0..=1.0).contains(&c), "{w}: {} = {c}", v.label());
+                }
+                // The full design should roughly dominate the single-block
+                // ablation (spatial regions are the big win).
+                let paper = coverage(AblationVariant::Paper);
+                let single = coverage(AblationVariant::NoSpatialRegions);
+                assert!(
+                    paper >= single - 0.10,
+                    "{w}: paper {paper} vs no-regions {single}"
+                );
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod sampling {
+    mod tests {
+        use crate::registry::{self, FIG_SAMPLING_COUNTS};
+        use crate::tests::figure;
+
+        #[test]
+        fn sampling_rows_cover_the_grid() {
+            let report = figure(&registry::fig_sampling());
+            // 2 workloads × {None, PIF} × 5 sample counts.
+            assert_eq!(report.cells.len(), 2 * 2 * FIG_SAMPLING_COUNTS.len());
+            for cell in &report.cells {
+                assert!(cell.expect_metric_u64("samples") >= 2);
+                assert!(cell.expect_metric("uipc_mean") > 0.0);
+                assert!(cell.expect_metric("uipc_ci95") >= 0.0);
+                if cell.prefetcher == Some("PIF") {
+                    assert!(cell.expect_metric("uipc_speedup_vs_none") > 0.0);
+                }
+            }
+        }
     }
 }

@@ -19,7 +19,6 @@
 
 use pif_core::PifConfig;
 use pif_types::RegionGeometry;
-use serde::{Deserialize, Serialize};
 
 use crate::spec::{CdfKind, Measure, ParamAxis, PrefetcherKind, SweepSpec};
 
@@ -49,7 +48,7 @@ pub const DENSITY_BUCKETS: [(u32, u32); 6] = [(1, 1), (2, 2), (3, 4), (5, 8), (9
 pub const RUN_BUCKETS: [(u32, u32); 5] = [(1, 1), (2, 2), (3, 4), (5, 8), (9, 16)];
 
 /// One ablated PIF design variant (the `ablation` grid's parameter axis).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AblationVariant {
     /// The paper's full design point.
     Paper,

@@ -1,13 +1,23 @@
-//! Plain-text table rendering for experiment output.
+//! Plain-text tables and the value formatters the figure tables use.
 
 use std::fmt;
+
+/// Formats a fraction as a percentage with one decimal.
+pub(crate) fn pct(x: f64) -> String {
+    format!("{:.1}%", x * 100.0)
+}
+
+/// Formats a speedup factor with two decimals.
+pub(crate) fn speedup(x: f64) -> String {
+    format!("{x:.2}x")
+}
 
 /// A simple aligned text table.
 ///
 /// # Example
 ///
 /// ```
-/// use pif_experiments::Table;
+/// use pif_lab::Table;
 ///
 /// let mut t = Table::new(vec!["Workload", "Coverage"]);
 /// t.row(vec!["OLTP-DB2".into(), "99.5%".into()]);

@@ -9,6 +9,7 @@
 //!    cache, and of a cache-free run.
 
 use std::path::PathBuf;
+use std::sync::{Mutex, PoisonError};
 
 use pif_lab::cache::{cell_fingerprint, config_block_canon};
 use pif_lab::json::fmt_f64;
@@ -21,12 +22,19 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
+/// `jobs_executed` is a process-wide counter, and the test harness runs
+/// tests on parallel threads: every test here that runs a sweep holds
+/// this lock, so no other test's cells land in a measured delta.
+static SWEEPS: Mutex<()> = Mutex::new(());
+
 /// The warm-replay contract, end to end. One test (not several) because
 /// `jobs_executed` is a process-wide counter: running the cold and warm
 /// sweeps in a single sequence keeps other tests in this binary from
 /// perturbing the deltas we assert on.
 #[test]
 fn warm_cache_rerun_is_byte_identical_with_zero_engine_runs() {
+    // The lock guards no data, so a poisoned one still serializes.
+    let _sweeps = SWEEPS.lock().unwrap_or_else(PoisonError::into_inner);
     let dir = tmpdir("warm");
     let cache = ResultCache::open(&dir).unwrap();
     let spec = registry::fig10();
@@ -70,6 +78,8 @@ fn warm_cache_rerun_is_byte_identical_with_zero_engine_runs() {
 /// A different scale must address different entries, not hit stale ones.
 #[test]
 fn scale_change_misses_the_cache() {
+    // The lock guards no data, so a poisoned one still serializes.
+    let _sweeps = SWEEPS.lock().unwrap_or_else(PoisonError::into_inner);
     let dir = tmpdir("scale");
     let cache = ResultCache::open(&dir).unwrap();
     let spec = registry::table1();

@@ -1,12 +1,10 @@
 //! Simulator configuration, defaulting to the paper's Table I parameters.
 
-use serde::{Deserialize, Serialize};
-
 use pif_types::ConfigError;
 
 /// L1 instruction cache geometry and latency (Table I: 64 KB, 2-way, 64 B
 /// blocks, 2-cycle load-to-use).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ICacheConfig {
     /// Total capacity in bytes.
     pub capacity_bytes: usize,
@@ -86,7 +84,7 @@ impl Default for ICacheConfig {
 /// cores NUCA, 16-way, 15-cycle hit). We model the aggregate NUCA capacity
 /// reachable by one core's instruction blocks, since the server workloads'
 /// multi-megabyte code working sets largely reside on-chip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct L2Config {
     /// Capacity in bytes devoted to instruction blocks.
     pub capacity_bytes: usize,
@@ -136,7 +134,7 @@ impl Default for L2Config {
 }
 
 /// Front-end (fetch + branch prediction) model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrontendConfig {
     /// gshare table entries (Table I: 16K).
     pub gshare_entries: usize,
@@ -184,7 +182,7 @@ impl Default for FrontendConfig {
 }
 
 /// Fetch-stall timing model parameters (see [`crate::timing`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingConfig {
     /// Dispatch/retire width (Table I: 3-wide).
     pub dispatch_width: u64,
@@ -221,7 +219,7 @@ impl Default for TimingConfig {
 }
 
 /// Complete engine configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EngineConfig {
     /// L1 instruction cache.
     pub icache: ICacheConfig,

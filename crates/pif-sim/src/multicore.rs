@@ -8,7 +8,7 @@
 //! configuration, so the driver runs one engine per core in parallel and
 //! aggregates.
 
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use pif_types::{InstrSource, RetiredInstr};
 
@@ -229,13 +229,16 @@ where
                     prefetcher_for(core),
                     RunOptions::new().warmup(warmup_instrs),
                 );
-                results.lock()[core] = Some(report);
+                results
+                    .lock()
+                    .expect("no core panics while holding the results lock")[core] = Some(report);
             });
         }
     });
     CmpReport {
         per_core: results
             .into_inner()
+            .expect("no core panics while holding the results lock")
             .into_iter()
             .map(|r| r.expect("core completed"))
             .collect(),

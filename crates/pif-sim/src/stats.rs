@@ -1,10 +1,8 @@
 //! Statistics: fetch/miss counters, prefetch accounting, and the log2
 //! histogram used by the paper's distance/length figures.
 
-use serde::{Deserialize, Serialize};
-
 /// Instruction-fetch statistics collected by the engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FetchStats {
     /// Correct-path demand fetch accesses (block granularity).
     pub demand_accesses: u64,
@@ -49,7 +47,7 @@ impl FetchStats {
 }
 
 /// Prefetch-side statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrefetchStats {
     /// Prefetch requests issued by the prefetcher (after the cache probe).
     pub issued: u64,
@@ -73,7 +71,7 @@ impl PrefetchStats {
 }
 
 /// Branch/front-end statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrontendStats {
     /// Retired instructions processed.
     pub instructions: u64,
@@ -115,7 +113,7 @@ impl FrontendStats {
 /// assert_eq!(h.bucket_count(7), 10);
 /// assert_eq!(h.total(), 12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Log2Histogram {
     buckets: Vec<u64>,
 }

@@ -8,8 +8,6 @@
 //! so relative speedups are driven — as in the paper — by how many fetch
 //! stalls each prefetcher removes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::TimingConfig;
 
 /// Accumulates simulated cycles.
@@ -100,7 +98,7 @@ impl TimingModel {
 }
 
 /// Cycle breakdown and throughput for one run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimingReport {
     /// Instructions retired.
     pub instructions: u64,

@@ -85,7 +85,7 @@
 //!
 //! [`TraceReader::instrs`] yields an `Iterator<Item = RetiredInstr>`,
 //! which implements `pif_types::InstrSource`; feed it to
-//! `pif_sim::Engine::run_source` to simulate a trace far larger than RAM:
+//! `pif_sim::Engine::run` to simulate a trace far larger than RAM:
 //!
 //! ```
 //! use pif_trace::{TraceReader, TraceWriter};

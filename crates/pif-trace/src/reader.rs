@@ -136,7 +136,7 @@ impl State {
 /// error the iterator fuses (yields `None`). Memory use is bounded by one
 /// chunk (v2) or one record (v1) regardless of trace length, which is
 /// what enables out-of-core simulation via
-/// `pif_sim::Engine::run_source`.
+/// `pif_sim::Engine::run`.
 ///
 /// # Example
 ///
@@ -234,7 +234,7 @@ impl<R: Read> TraceReader<R> {
 
     /// Adapts this reader into an iterator of plain [`RetiredInstr`]s
     /// that stops at the first decode error and stashes it for later
-    /// inspection — the shape `Engine::run_source` consumes.
+    /// inspection — the shape `Engine::run` consumes.
     pub fn instrs(self) -> Instrs<R> {
         Instrs {
             reader: self,

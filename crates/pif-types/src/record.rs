@@ -1,12 +1,10 @@
 //! Trace records: retired instructions and front-end fetch accesses.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Address, TrapLevel};
 
 /// Kind of control-flow instruction, for the front-end/branch-predictor
 /// model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BranchKind {
     /// Conditional branch; the direction predictor guesses taken/not-taken.
     Conditional,
@@ -36,7 +34,7 @@ impl BranchKind {
 /// whether its branch predictor would have speculated down the wrong path —
 /// which is what injects wrong-path noise into the fetch-access stream
 /// (paper §2.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BranchInfo {
     /// What kind of branch this is.
     pub kind: BranchKind,
@@ -79,7 +77,7 @@ impl BranchInfo {
 /// assert!(instr.branch.is_none());
 /// assert_eq!(instr.pc.block().number(), 0x10);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetiredInstr {
     /// Program counter of the retired instruction.
     pub pc: Address,
@@ -115,7 +113,7 @@ impl RetiredInstr {
 }
 
 /// Why the front end issued a fetch access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FetchKind {
     /// Fetch on the correct (eventually retired) path.
     CorrectPath,
@@ -129,7 +127,7 @@ pub enum FetchKind {
 /// access/miss-stream prefetcher (e.g. TIFS), actually observes. It differs
 /// from the retire-order stream by the injected wrong-path accesses and by
 /// fetch happening at block granularity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FetchAccess {
     /// Address fetched (the front end fetches block-aligned groups; we keep
     /// the instruction address for trigger-PC bookkeeping).

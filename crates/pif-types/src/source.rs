@@ -14,7 +14,7 @@ use crate::RetiredInstr;
 /// Every `Iterator<Item = RetiredInstr>` is an `InstrSource` via the
 /// blanket implementation, so slices (`trace.iter().copied()`), vectors
 /// (`vec.into_iter()`), lazily-generating iterators, and streaming trace
-/// decoders all plug into `pif_sim::Engine::run_source` directly.
+/// decoders all plug into `pif_sim::Engine::run` directly.
 /// `&mut S` works wherever `S` does (mutable iterator references are
 /// iterators), which lets callers keep ownership and inspect the source —
 /// e.g. for deferred decode errors — after a run.

@@ -22,8 +22,6 @@
 
 use std::io::{self, Read, Write};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 pub use pif_trace::{TraceDecodeError, TraceErrorKind};
 
 use pif_types::{Address, BranchInfo, BranchKind, RetiredInstr, TrapLevel};
@@ -69,28 +67,28 @@ fn kind_from_byte(b: u8) -> Result<BranchKind, TraceDecodeError> {
 /// let back = decode_trace(&bytes).unwrap();
 /// assert_eq!(trace, back);
 /// ```
-pub fn encode_trace(trace: &Trace) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16 + trace.name().len() + trace.len() * 16);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u32_le(trace.name().len() as u32);
-    buf.put_slice(trace.name().as_bytes());
-    buf.put_u64_le(trace.len() as u64);
+pub fn encode_trace(trace: &Trace) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(16 + trace.name().len() + trace.len() * 16);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&(trace.name().len() as u32).to_le_bytes());
+    buf.extend_from_slice(trace.name().as_bytes());
+    buf.extend_from_slice(&(trace.len() as u64).to_le_bytes());
     for instr in trace.instrs() {
-        buf.put_u64_le(instr.pc.raw());
-        buf.put_u8(instr.trap_level.index() as u8);
+        buf.extend_from_slice(&instr.pc.raw().to_le_bytes());
+        buf.push(instr.trap_level.index() as u8);
         match instr.branch {
-            None => buf.put_u8(0),
+            None => buf.push(0),
             Some(info) => {
-                buf.put_u8(1);
-                buf.put_u8(kind_to_byte(info.kind));
-                buf.put_u8(u8::from(info.taken));
-                buf.put_u64_le(info.taken_target.raw());
-                buf.put_u64_le(info.fall_through.raw());
+                buf.push(1);
+                buf.push(kind_to_byte(info.kind));
+                buf.push(u8::from(info.taken));
+                buf.extend_from_slice(&info.taken_target.raw().to_le_bytes());
+                buf.extend_from_slice(&info.fall_through.raw().to_le_bytes());
             }
         }
     }
-    buf.freeze()
+    buf
 }
 
 /// Deserializes a trace previously produced by [`encode_trace`].
@@ -101,30 +99,36 @@ pub fn encode_trace(trace: &Trace) -> Bytes {
 /// truncated/corrupt payload.
 pub fn decode_trace(mut data: &[u8]) -> Result<Trace, TraceDecodeError> {
     fn need(data: &[u8], n: usize) -> Result<(), TraceDecodeError> {
-        if data.remaining() < n {
+        if data.len() < n {
             return Err(TraceDecodeError::Corrupt("truncated"));
         }
         Ok(())
     }
+    /// Splits the next `N` bytes off `data`; `need` has checked they exist.
+    fn take<const N: usize>(data: &mut &[u8]) -> [u8; N] {
+        let (head, rest) = data
+            .split_first_chunk::<N>()
+            .expect("length checked by need()");
+        *data = rest;
+        *head
+    }
     need(data, 8)?;
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    if take::<4>(&mut data) != *MAGIC {
         return Err(TraceDecodeError::BadMagic);
     }
-    let version = data.get_u32_le();
+    let version = u32::from_le_bytes(take(&mut data));
     if version != VERSION {
         return Err(TraceDecodeError::BadVersion(version));
     }
     need(data, 4)?;
-    let name_len = data.get_u32_le() as usize;
+    let name_len = u32::from_le_bytes(take(&mut data)) as usize;
     need(data, name_len)?;
-    let mut name_bytes = vec![0u8; name_len];
-    data.copy_to_slice(&mut name_bytes);
-    let name = String::from_utf8(name_bytes)
+    let (name_bytes, rest) = data.split_at(name_len);
+    data = rest;
+    let name = String::from_utf8(name_bytes.to_vec())
         .map_err(|_| TraceDecodeError::Corrupt("name is not UTF-8"))?;
     need(data, 8)?;
-    let count = data.get_u64_le() as usize;
+    let count = u64::from_le_bytes(take(&mut data)) as usize;
     // Every record is at least 10 bytes, so a declared count the
     // remaining payload cannot possibly hold is corrupt on its face —
     // fail fast instead of looping toward a truncation error millions of
@@ -133,28 +137,28 @@ pub fn decode_trace(mut data: &[u8]) -> Result<Trace, TraceDecodeError> {
     // line of defense.
     if count
         .checked_mul(MIN_RECORD_BYTES)
-        .is_none_or(|needed| needed > data.remaining())
+        .is_none_or(|needed| needed > data.len())
     {
         return Err(TraceDecodeError::Corrupt("record count exceeds payload"));
     }
     let mut instrs = Vec::with_capacity(count.min(1 << 24));
     for _ in 0..count {
         need(data, 10)?;
-        let pc = Address::new(data.get_u64_le());
-        let tl_byte = data.get_u8();
+        let pc = Address::new(u64::from_le_bytes(take(&mut data)));
+        let tl_byte = take::<1>(&mut data)[0];
         if tl_byte as usize >= TrapLevel::COUNT {
             return Err(TraceDecodeError::Corrupt("invalid trap level"));
         }
         let trap_level = TrapLevel::from_index(tl_byte as usize);
-        let has_branch = data.get_u8();
+        let has_branch = take::<1>(&mut data)[0];
         let branch = match has_branch {
             0 => None,
             1 => {
                 need(data, 18)?;
-                let kind = kind_from_byte(data.get_u8())?;
-                let taken = data.get_u8() != 0;
-                let taken_target = Address::new(data.get_u64_le());
-                let fall_through = Address::new(data.get_u64_le());
+                let kind = kind_from_byte(take::<1>(&mut data)[0])?;
+                let taken = take::<1>(&mut data)[0] != 0;
+                let taken_target = Address::new(u64::from_le_bytes(take(&mut data)));
+                let fall_through = Address::new(u64::from_le_bytes(take(&mut data)));
                 Some(BranchInfo {
                     kind,
                     taken,
@@ -247,7 +251,7 @@ mod tests {
         // A header declaring u64::MAX records over an empty payload must
         // be rejected before any decode loop or allocation.
         let t = Trace::new("x", vec![]);
-        let mut bytes = encode_trace(&t).to_vec();
+        let mut bytes = encode_trace(&t);
         let count_offset = bytes.len() - 8;
         bytes[count_offset..].copy_from_slice(&u64::MAX.to_le_bytes());
         assert_eq!(
@@ -281,7 +285,7 @@ mod tests {
             "x",
             vec![RetiredInstr::simple(Address::new(4), TrapLevel::Tl0)],
         );
-        let mut bytes = encode_trace(&t).to_vec();
+        let mut bytes = encode_trace(&t);
         // The trap-level byte of the first record sits after the header.
         let tl_offset = 4 + 4 + 4 + 1 + 8 + 8;
         bytes[tl_offset] = 9;

@@ -1,14 +1,12 @@
 //! Generator parameters: the statistical knobs behind a workload profile.
 
-use serde::{Deserialize, Serialize};
-
 use pif_types::ConfigError;
 
 /// Parameters for synthesizing a server-workload instruction trace.
 ///
 /// The defaults describe a generic mid-sized server workload; the
 /// [`crate::WorkloadProfile`]s override them per workload class.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeneratorParams {
     /// Deterministic seed: the same parameters always yield the same trace.
     pub seed: u64,

@@ -1,7 +1,5 @@
 //! Trace container and summary statistics.
 
-use serde::{Deserialize, Serialize};
-
 use pif_types::{RetiredInstr, TrapLevel};
 
 /// A named retire-order instruction trace.
@@ -18,7 +16,7 @@ use pif_types::{RetiredInstr, TrapLevel};
 /// assert_eq!(trace.name(), "DSS-Qry2");
 /// assert_eq!(trace.len(), 10_000);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     name: String,
     instrs: Vec<RetiredInstr>,
@@ -89,7 +87,7 @@ impl<'a> IntoIterator for &'a Trace {
 }
 
 /// Summary statistics of a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceStats {
     /// Total retired instructions.
     pub instructions: u64,

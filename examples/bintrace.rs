@@ -5,14 +5,14 @@
 //! release binaries present under `target/release`; explicit paths
 //! analyse those binaries instead.
 //!
-//! Usage: `cargo run -p pif-experiments --bin bintrace [-- <elf>...]`
+//! Usage: `cargo run --example bintrace [-- <elf>...]`
 
 use std::sync::Arc;
 
 use pif_bintrace::cfg::{Cfg, Terminator};
 use pif_bintrace::elf::ElfImage;
 use pif_bintrace::walk::{WalkConfig, Walker};
-use pif_experiments::Table;
+use pif_lab::Table;
 
 const WALK_SAMPLE: usize = 200_000;
 

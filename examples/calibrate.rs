@@ -3,9 +3,9 @@
 //! rates, realistic branch behaviour) so profile tuning is grounded in
 //! numbers rather than guesswork.
 //!
-//! Usage: `PIF_SCALE=paper cargo run --release -p pif-experiments --bin calibrate`
+//! Usage: `PIF_SCALE=paper cargo run --release --example calibrate`
 
-use pif_experiments::{Scale, Table};
+use pif_lab::{Scale, Table};
 use pif_sim::{Engine, EngineConfig, NoPrefetcher, RunOptions};
 
 fn main() {
@@ -22,7 +22,7 @@ fn main() {
         "TL1",
         "FetchStall",
     ]);
-    let rows = pif_experiments::Pool::default().parallel_map(scale.workloads(), |w| {
+    let rows = pif_lab::Pool::default().parallel_map(scale.workloads(), |w| {
         let trace = w.generate(scale.instructions);
         let stats = trace.stats();
         let report = engine.run(

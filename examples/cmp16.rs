@@ -3,13 +3,13 @@
 //! cores with 95% confidence intervals — the paper's §5 measurement
 //! methodology.
 //!
-//! Usage: `cargo run --release -p pif-experiments --bin cmp16 [workload]`
+//! Usage: `cargo run --release --example cmp16 [workload]`
 //! (set `PIF_SCALE=tiny|quick|paper`; per-core traces are 1/4 the scale's
 //! length to keep the 16-core run affordable).
 
 use pif_baselines::{NextLinePrefetcher, PerfectICache, Tifs};
 use pif_core::{Pif, PifConfig};
-use pif_experiments::Scale;
+use pif_lab::Scale;
 use pif_sim::multicore::{run_cmp_sources, CmpReport};
 use pif_sim::{EngineConfig, NoPrefetcher, Prefetcher};
 

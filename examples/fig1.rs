@@ -6,7 +6,7 @@
 //! between. Right: a mispredicted branch injects wrong-path blocks into
 //! the front-end access stream.
 //!
-//! Usage: `cargo run -p pif-experiments --bin fig1`
+//! Usage: `cargo run --example fig1`
 
 use pif_sim::cache::{Lru, SetAssocCache};
 use pif_sim::frontend::{FrontEnd, FrontendEvent};

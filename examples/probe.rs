@@ -3,8 +3,8 @@
 //! breaks, and show when new code is first touched. Used while
 //! calibrating the synthetic workloads; kept as a debugging tool.
 //!
-//! Usage: `cargo run --release -p pif-experiments --bin probe [workload]`
-use pif_experiments::Scale;
+//! Usage: `cargo run --release --example probe [workload]`
+use pif_lab::Scale;
 use pif_sim::cache::{AccessOutcome, InstructionCache};
 use pif_sim::frontend::{FrontEnd, FrontendEvent};
 use pif_sim::predictor_eval::{

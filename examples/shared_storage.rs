@@ -7,13 +7,13 @@
 //! core predict code it has never executed — another core already
 //! recorded it.
 //!
-//! Usage: `PIF_SCALE=quick cargo run --release -p pif-experiments --bin shared_storage`
+//! Usage: `PIF_SCALE=quick cargo run --release --example shared_storage`
 
 use std::sync::Arc;
 
 use pif_core::shared::{SharedPif, SharedPifStorage};
 use pif_core::{Pif, PifConfig};
-use pif_experiments::Scale;
+use pif_lab::Scale;
 use pif_sim::multicore::run_cmp;
 use pif_sim::{EngineConfig, NoPrefetcher};
 

@@ -4,8 +4,9 @@
 //! Fetch"** (Ferdman, Kaynak, Falsafi — MICRO 2011): the PIF instruction
 //! prefetcher, the trace-driven microarchitecture substrate it is evaluated
 //! on, synthetic server workloads standing in for the paper's commercial
-//! traces, the paper's baselines (next-line, TIFS, perfect L1-I), and a
-//! harness regenerating every table and figure of the evaluation.
+//! traces, the paper's baselines (next-line, TIFS, perfect L1-I), and the
+//! sweep harness that regenerates every table and figure of the
+//! evaluation (`piflab run <spec>`).
 //!
 //! This facade crate re-exports the member crates under stable names:
 //!
@@ -18,8 +19,8 @@
 //!   the seeded walker behind `tracectl record-elf`.
 //! * [`pif`] — the Proactive Instruction Fetch prefetcher itself.
 //! * [`baselines`] — next-line, TIFS, discontinuity, perfect cache.
-//! * [`experiments`] — per-figure experiment runners.
-//! * [`lab`] — declarative sweep orchestration and the `piflab` CLI.
+//! * [`lab`] — declarative sweep orchestration, the committed figure
+//!   specs, and the `piflab` CLI that runs and prints them.
 //!
 //! # Quickstart
 //!
@@ -38,7 +39,6 @@
 pub use pif_baselines as baselines;
 pub use pif_bintrace as bintrace;
 pub use pif_core as pif;
-pub use pif_experiments as experiments;
 pub use pif_lab as lab;
 pub use pif_sim as sim;
 pub use pif_trace as trace;

@@ -1,6 +1,6 @@
 //! End-to-end tests of the trace subsystem: golden byte fixtures for
 //! cross-version compatibility, out-of-core simulation through
-//! `Engine::run_source`, and the v2 compression target.
+//! `Engine::run`, and the v2 compression target.
 //!
 //! The golden fixtures pin the *byte layouts* of both format versions; if
 //! either codec changes its on-disk format, these tests fail before any
@@ -80,7 +80,7 @@ fn golden_v1_fixture_still_decodes_everywhere() {
     // The legacy slice decoder.
     assert_eq!(decode_trace(&bytes).unwrap(), expected);
     // The v1 encoder still produces exactly this layout.
-    assert_eq!(encode_trace(&expected).as_ref(), bytes.as_slice());
+    assert_eq!(encode_trace(&expected), bytes);
     // The new streaming reader handles v1 transparently.
     let (name, instrs) = pif_repro::trace::decode(&bytes).unwrap();
     assert_eq!(name, "golden");
@@ -113,7 +113,7 @@ fn golden_v2_fixture_is_byte_stable() {
 fn generated_v1_traces_decode_via_streaming_reader() {
     let trace = WorkloadProfile::dss_qry17().scaled(0.05).generate(20_000);
     let v1 = encode_trace(&trace);
-    let mut source = TraceReader::open(v1.as_ref()).unwrap().instrs();
+    let mut source = TraceReader::open(v1.as_slice()).unwrap().instrs();
     let streamed: Vec<_> = source.by_ref().collect();
     assert!(source.error().is_none());
     assert_eq!(streamed.as_slice(), trace.instrs());
@@ -134,7 +134,7 @@ fn v2_is_at_least_2x_smaller_than_v1_on_oltp_db2() {
 }
 
 /// Record a workload to disk streaming, then simulate it out of core:
-/// generator → TraceWriter → file → TraceReader → Engine::run_source,
+/// generator → TraceWriter → file → TraceReader → Engine::run,
 /// with no full `Vec<RetiredInstr>` on either side of the disk.
 #[test]
 fn record_to_disk_then_simulate_out_of_core() {
@@ -180,7 +180,7 @@ fn record_to_disk_then_simulate_out_of_core() {
 }
 
 /// The acceptance-scale run: a 10M-instruction OLTP-DB2 trace recorded
-/// to disk and simulated via `run_source` without materializing it.
+/// to disk and simulated via `Engine::run` without materializing it.
 /// Ignored by default (minutes of work); run with `cargo test -q
 /// --test trace_subsystem -- --ignored`.
 #[test]
@@ -255,7 +255,7 @@ fn v1_to_v2_conversion_preserves_records() {
     let v1 = encode_trace(&trace);
 
     // Stream-convert exactly as `tracectl convert` does.
-    let mut reader = TraceReader::open(v1.as_ref()).unwrap();
+    let mut reader = TraceReader::open(v1.as_slice()).unwrap();
     let mut writer = TraceWriter::new(Vec::new(), reader.name()).unwrap();
     for result in reader.by_ref() {
         writer.push(&result.unwrap()).unwrap();

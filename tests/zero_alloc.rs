@@ -8,8 +8,7 @@
 //! per-retirement path runs out of fixed-capacity storage.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 use pif_core::{Pif, PifConfig};
 use pif_sim::{Engine, EngineConfig, NoPrefetcher, RunOptions};
@@ -17,11 +16,27 @@ use pif_types::{Address, RetiredInstr, TrapLevel};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's allocation count while a measurement is armed
+    /// (`None` = disarmed). Engine runs are single-threaded, so counting
+    /// per thread sees all of their allocations and none of those made
+    /// concurrently by the other test or the harness; a
+    /// `const`-initialized `Cell` has no destructor, so the allocator can
+    /// touch it without allocating or racing thread teardown.
+    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn count_alloc() {
+    ALLOCS.with(|n| {
+        if let Some(count) = n.get() {
+            n.set(Some(count + 1));
+        }
+    });
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -30,7 +45,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -38,16 +53,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// The allocation counter is process-global, so the two tests in this
-/// binary must not overlap: each takes this lock for its whole body
-/// (trace generation included) to keep the other's allocations out of
-/// its measurement windows.
-static SERIAL: Mutex<()> = Mutex::new(());
-
+/// Allocations the calling thread makes while running `f`.
 fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    ALLOCS.with(|n| n.set(Some(0)));
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::take).expect("armed above")
 }
 
 /// A thrashing sweep (footprint 2× the L1-I) repeated `laps` times.
@@ -68,7 +78,6 @@ fn sweep_trace(laps: u64) -> Vec<RetiredInstr> {
 
 #[test]
 fn engine_steady_state_is_allocation_free_without_prefetcher() {
-    let _serial = SERIAL.lock().unwrap();
     let engine = Engine::new(EngineConfig::paper_default());
     let short = sweep_trace(4);
     let long = sweep_trace(8);
@@ -87,7 +96,6 @@ fn engine_steady_state_is_allocation_free_without_prefetcher() {
 
 #[test]
 fn engine_steady_state_is_allocation_free_with_pif() {
-    let _serial = SERIAL.lock().unwrap();
     let engine = Engine::new(EngineConfig::paper_default());
     let short = sweep_trace(4);
     let long = sweep_trace(8);
