@@ -4,9 +4,9 @@
 //! {workload × prefetcher × one swept parameter}. This crate turns each
 //! figure into data instead of a hand-rolled binary: a [`SweepSpec`]
 //! names the axes, [`run_spec`] expands the grid and runs it on a
-//! work-stealing thread pool with per-job seeded workload streams, and
-//! the result is a [`SweepReport`] — a machine-checkable JSON artifact
-//! per figure.
+//! work-stealing thread pool over seeded workload traces, each generated
+//! at most once per sweep and shared by its cells, and the result is a
+//! [`SweepReport`] — a machine-checkable JSON artifact per figure.
 //!
 //! Determinism is the core contract: job results merge by job index and
 //! reports carry no wall-clock data, so **a report is byte-identical
@@ -247,66 +247,56 @@ fn run_spec_impl(
 ) -> (SweepReport, SweepRunStats, Option<SweepProfile>) {
     let scale = &opts.scale;
     let names = spec.workload_names();
+    // Each workload carries its per-sweep memos (see `measure`): filled
+    // at most once per (workload, scale, seed) and shared by every cell.
     let workloads: Vec<measure::JobWorkload> = if spec.recorded {
         names
             .iter()
-            .map(|n| measure::JobWorkload {
-                name: n.clone(),
-                profile: None,
-            })
+            .map(|n| measure::JobWorkload::new(n.clone(), None))
             .collect()
     } else {
         let available = scale.workloads();
         names
             .iter()
-            .map(|n| measure::JobWorkload {
-                name: n.clone(),
-                profile: Some(
-                    available
-                        .iter()
-                        .find(|w| w.name() == *n)
-                        .unwrap_or_else(|| panic!("spec {}: unknown workload {n:?}", spec.name))
-                        .clone(),
-                ),
+            .map(|n| {
+                let profile = available
+                    .iter()
+                    .find(|w| w.name() == *n)
+                    .unwrap_or_else(|| panic!("spec {}: unknown workload {n:?}", spec.name));
+                measure::JobWorkload::new(n.clone(), Some(profile.clone()))
             })
             .collect()
     };
 
     let coords = spec.jobs();
-    // Per-workload trace memo for analysis measures (see `measure`):
-    // generated at most once per workload, shared across axis points.
-    let traces: Vec<std::sync::OnceLock<pif_workloads::Trace>> =
-        (0..workloads.len()).map(|_| Default::default()).collect();
-
-    // Per-workload content-hash memo: the trace half of every cache key.
-    // Hashing streams the workload once per (workload, scale, seed) —
-    // far cheaper than simulating, which is the point of the cache.
-    let trace_hashes: Vec<std::sync::OnceLock<u64>> =
-        (0..workloads.len()).map(|_| Default::default()).collect();
 
     // Recorded workloads have no generator: load (or, for the demo
-    // workload, synthesize) every trace up front and seed both memos, so
-    // job execution and cache keying never touch the filesystem and the
-    // report stays a pure function of the trace bytes.
+    // workload, synthesize) every trace up front and seed both the trace
+    // and the hash memo, so job execution and cache keying never touch
+    // the filesystem and the report stays a pure function of the trace
+    // bytes.
     if spec.recorded {
-        for (i, name) in names.iter().enumerate() {
+        for (workload, name) in workloads.iter().zip(&names) {
             let trace = recorded::load(name, scale.instructions)
                 .unwrap_or_else(|e| panic!("spec {}: workload {name:?}: {e}", spec.name));
-            let _ = trace_hashes[i].set(pif_trace::content_hash(trace.instrs().iter().copied()));
-            let _ = traces[i].set(trace);
+            let _ = workload
+                .trace_hash
+                .set(pif_trace::content_hash(trace.instrs().iter().copied()));
+            let _ = workload.trace.set(trace);
         }
     }
 
+    // The trace half of every cache key. Hashing generates the workload
+    // once per (workload, scale, seed) in the calling thread — far
+    // cheaper than simulating, which is the point of the cache.
     let cell_key = |coord: spec::JobCoord| -> CacheKey {
         let workload = &workloads[coord.workload];
-        let trace_hash = *trace_hashes[coord.workload].get_or_init(|| {
+        let trace_hash = *workload.trace_hash.get_or_init(|| {
             let profile = workload
                 .profile
                 .as_ref()
                 .expect("recorded hashes are pre-seeded above");
-            pif_trace::content_hash(
-                profile.stream_with_execution_seed(scale.instructions, spec.seed_offset),
-            )
+            measure::generated_trace_hash(profile, scale.instructions, spec.seed_offset)
         });
         CacheKey {
             trace_hash,
@@ -352,7 +342,7 @@ fn run_spec_impl(
         // Timed only under profiling, and into a sidecar value — timing
         // never reaches the cell or the report.
         let started = want_profile.then(std::time::Instant::now);
-        let cell = measure::run_job(spec, scale, &workloads, &traces, missing[i], &inner);
+        let cell = measure::run_job(spec, scale, &workloads, missing[i], &inner);
         // Sub-microsecond cells (release builds at tiny scale) round up
         // to 1 so an executed cell is never recorded as untimed.
         let exec_us = started

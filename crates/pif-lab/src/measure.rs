@@ -2,17 +2,29 @@
 //! metrics.
 //!
 //! Every driver derives its trace from the job's workload via
-//! [`WorkloadProfile::stream_with_execution_seed`] /
+//! [`WorkloadProfile::generate_with_execution_seed_into`] /
 //! `generate_with_execution_seed`, so a cell's result depends only on
 //! (spec, scale, seed) — never on which worker thread ran it or when.
-//! Engine cells stream (no trace materialization); analysis and sampled
-//! cells need random access into a slice, so the generated trace is
-//! memoized per workload and shared across the parameter axis instead of
-//! regenerated per cell.
+//! Each trace is generated at most once per sweep and memoized on its
+//! [`JobWorkload`]:
+//!
+//! * Engine cells of a synthetic workload replay a **shared in-memory v2
+//!   trace** ([`pif_trace::TraceWriter`] into a `Vec<u8>`, ~2.15 bytes
+//!   per instruction). The first cell that needs it encodes it; every
+//!   cell of the workload — each prefetcher and axis point — then
+//!   decodes it on its own pool thread through
+//!   [`pif_trace::TraceReader::instrs`]. The replayed records are exactly
+//!   the generated ones, so reports are unchanged; a decode error fails
+//!   the cell and never shortens its trace. The buffer costs ~26 MB per
+//!   workload at `--scale paper` (12M instructions), ~155 MB for `fig10`'s
+//!   six workloads, held until the sweep ends.
+//! * Analysis and sampled cells need random access into a slice, so they
+//!   share the materialized trace instead (40 bytes per instruction:
+//!   480 MB per workload at `--scale paper`).
 //!
 //! Recorded workloads ([`crate::recorded`]) have no generator at all:
-//! `run_spec_impl` pre-seeds the per-workload memo with the loaded trace,
-//! and every measure — engine cells included — consumes the memo.
+//! `run_spec_impl` pre-seeds the materialized memo with the loaded
+//! trace, and every measure — engine cells included — consumes it.
 
 use pif_baselines::{DiscontinuityPrefetcher, NextLinePrefetcher, PerfectICache, Tifs};
 use pif_core::analysis::{analyze_regions, PifAnalyzer};
@@ -21,6 +33,7 @@ use pif_sim::predictor_eval::{evaluate_stream_coverage_warmup, TemporalPredictor
 use pif_sim::prefetch::Prefetcher;
 use pif_sim::sampling::{SampledRunReport, SamplingPlan, WarmStrategy};
 use pif_sim::{Engine, EngineConfig, NoPrefetcher, RunOptions, RunReport};
+use pif_trace::{TraceDecodeError, TraceHasher, TraceReader, TraceWriter};
 use pif_types::{RegionGeometry, TrapLevel};
 use pif_workloads::{Trace, WorkloadProfile};
 
@@ -78,23 +91,71 @@ pub fn jobs_executed() -> u64 {
     JOBS_EXECUTED.load(Ordering::Relaxed)
 }
 
-/// One workload of the expanded grid: its stable report name plus, for
-/// synthetic workloads, the generating profile. Recorded workloads carry
-/// no profile — their traces are pre-seeded into the per-workload memo
-/// by `run_spec_impl` before any job runs.
-#[derive(Debug, Clone)]
+/// One workload of the expanded grid: its stable report name, for
+/// synthetic workloads the generating profile, and the per-sweep memos
+/// its cells share. Recorded workloads carry no profile — their
+/// `trace` and `trace_hash` are pre-seeded by `run_spec_impl` before any
+/// job runs.
+#[derive(Debug)]
 pub(crate) struct JobWorkload {
     pub name: String,
     pub profile: Option<WorkloadProfile>,
+    /// Materialized trace for the slice-consuming measures (analysis,
+    /// sampled, and every recorded cell).
+    pub trace: OnceLock<Trace>,
+    /// Encoded v2 trace that synthetic Engine cells replay.
+    pub encoded: OnceLock<Vec<u8>>,
+    /// Content hash of the trace: the trace half of every cache key.
+    pub trace_hash: OnceLock<u64>,
+}
+
+impl JobWorkload {
+    pub fn new(name: String, profile: Option<WorkloadProfile>) -> Self {
+        JobWorkload {
+            name,
+            profile,
+            trace: OnceLock::new(),
+            encoded: OnceLock::new(),
+            trace_hash: OnceLock::new(),
+        }
+    }
+}
+
+/// [`pif_trace::content_hash`] of the workload's generated trace,
+/// computed in the calling thread (no generator thread, no channel).
+pub(crate) fn generated_trace_hash(
+    profile: &WorkloadProfile,
+    instructions: usize,
+    seed_offset: u64,
+) -> u64 {
+    let mut hasher = TraceHasher::new();
+    profile.generate_with_execution_seed_into(instructions, seed_offset, |instr| {
+        hasher.update(&instr)
+    });
+    hasher.finish()
+}
+
+/// The workload's generated trace, encoded as an in-memory v2 trace.
+fn encode_generated(profile: &WorkloadProfile, instructions: usize, seed_offset: u64) -> Vec<u8> {
+    let mut writer = TraceWriter::new(Vec::new(), profile.name()).expect("Vec sink cannot fail");
+    profile.generate_with_execution_seed_into(instructions, seed_offset, |instr| {
+        writer.push(&instr).expect("Vec sink cannot fail")
+    });
+    writer.finish().expect("Vec sink cannot fail")
 }
 
 /// Runs one grid cell and returns it (without cross-cell derived
 /// metrics — see [`crate::run_spec`] for the merge pass).
+///
+/// # Panics
+///
+/// A cell that cannot be measured panics, failing its sweep: a recorded
+/// workload under [`Measure::Static`], or a shared trace that does not
+/// decode cleanly.
 pub(crate) fn run_job(
     spec: &SweepSpec,
     scale: &Scale,
     workloads: &[JobWorkload],
-    traces: &[OnceLock<Trace>],
     coord: JobCoord,
     pool: &Pool,
 ) -> Cell {
@@ -106,7 +167,7 @@ pub(crate) fn run_job(
     // one job pays the generation cost. Recorded workloads arrive
     // pre-seeded, so the generating closure never runs for them.
     let trace = || {
-        traces[coord.workload].get_or_init(|| {
+        workload.trace.get_or_init(|| {
             workload
                 .profile
                 .as_ref()
@@ -132,14 +193,23 @@ pub(crate) fn run_job(
             let engine = Engine::new(engine_cfg);
             let kind = coord.prefetcher.unwrap_or(PrefetcherKind::None);
             let report = match &workload.profile {
-                // Synthetic workloads stream — no trace materialization.
-                Some(profile) => engine_run(
-                    &engine,
-                    profile.stream_with_execution_seed(scale.instructions, spec.seed_offset),
-                    kind,
-                    pif,
-                    warmup,
-                ),
+                // Synthetic workloads replay the sweep's shared v2 trace,
+                // encoded by the first cell that needs it (as above).
+                Some(profile) => {
+                    let encoded = workload.encoded.get_or_init(|| {
+                        let encoded =
+                            encode_generated(profile, scale.instructions, spec.seed_offset);
+                        #[cfg(test)]
+                        let encoded = tests::tamper(scale.instructions, encoded);
+                        encoded
+                    });
+                    engine_replay(&engine, encoded, kind, pif, warmup).unwrap_or_else(|e| {
+                        panic!(
+                            "spec {}: workload {}: shared trace does not decode: {e}",
+                            spec.name, workload.name
+                        )
+                    })
+                }
                 // Recorded workloads replay the pre-seeded trace memo.
                 None => engine_run(&engine, trace().instrs().iter().copied(), kind, pif, warmup),
             };
@@ -301,8 +371,27 @@ pub(crate) fn run_job(
     cell
 }
 
+/// One engine run over an encoded v2 trace. The run must consume the
+/// whole trace cleanly: a decode error — corruption anywhere, up to a
+/// terminator whose record count disagrees — is returned instead of the
+/// report, never turned into a run over a shorter trace.
+fn engine_replay(
+    engine: &Engine,
+    encoded: &[u8],
+    kind: PrefetcherKind,
+    pif: pif_core::PifConfig,
+    warmup: usize,
+) -> Result<RunReport, TraceDecodeError> {
+    let mut source = TraceReader::open(encoded)?.instrs();
+    let report = engine_run(engine, &mut source, kind, pif, warmup);
+    match source.take_error() {
+        Some(e) => Err(e),
+        None => Ok(report),
+    }
+}
+
 /// One engine run of `source` under the cell's prefetcher kind — shared
-/// by the synthetic streaming path and the recorded-trace replay path.
+/// by the synthetic shared-trace replay and the recorded-trace path.
 fn engine_run(
     engine: &Engine,
     source: impl pif_types::InstrSource,
@@ -390,4 +479,211 @@ fn engine_metrics(cell: &mut Cell, report: &RunReport) {
     cell.push("mpki", Metric::F64(mpki));
     cell.push("prefetch_accuracy", Metric::F64(report.prefetch.accuracy()));
     cell.push("uipc", Metric::F64(report.timing.uipc()));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{handle_request, Request, Response};
+    use crate::service::{Service, ServiceConfig};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Mutex;
+
+    /// Damage done to an encoded trace.
+    type Corruption = fn(Vec<u8>) -> Vec<u8>;
+
+    /// Shared-trace corruptions armed by the tests below, keyed by the
+    /// run's instruction count so that tests running concurrently at
+    /// other scales never see them.
+    static TAMPER: Mutex<Vec<(usize, Corruption)>> = Mutex::new(Vec::new());
+
+    /// Applies the corruption armed for `instructions`, if any, to a
+    /// freshly encoded shared trace.
+    pub(super) fn tamper(instructions: usize, encoded: Vec<u8>) -> Vec<u8> {
+        let armed = TAMPER.lock().unwrap();
+        match armed.iter().find(|(n, _)| *n == instructions) {
+            Some((_, corrupt)) => corrupt(encoded),
+            None => encoded,
+        }
+    }
+
+    /// Byte offset of the first chunk header: magic, version, name.
+    fn first_chunk(encoded: &[u8]) -> usize {
+        12 + u32::from_le_bytes(encoded[8..12].try_into().unwrap()) as usize
+    }
+
+    /// Cut after the first chunk: a clean prefix of whole records with no
+    /// terminator.
+    fn cut_after_first_chunk(mut encoded: Vec<u8>) -> Vec<u8> {
+        let at = first_chunk(&encoded);
+        let payload = u32::from_le_bytes(encoded[at + 4..at + 8].try_into().unwrap());
+        encoded.truncate(at + 8 + payload as usize);
+        encoded
+    }
+
+    fn cut_in_half(mut encoded: Vec<u8>) -> Vec<u8> {
+        encoded.truncate(encoded.len() / 2);
+        encoded
+    }
+
+    fn cut_last_byte(mut encoded: Vec<u8>) -> Vec<u8> {
+        encoded.pop();
+        encoded
+    }
+
+    /// Flips bit 1 of the first record's flags: trap level 2 or 3.
+    fn flip_first_flags(mut encoded: Vec<u8>) -> Vec<u8> {
+        let at = first_chunk(&encoded) + 8;
+        encoded[at] ^= 0b10;
+        encoded
+    }
+
+    /// Flips the low bit of the terminator's record count: every record
+    /// decodes, only the total disagrees.
+    fn flip_terminator_count(mut encoded: Vec<u8>) -> Vec<u8> {
+        let at = encoded.len() - 8;
+        encoded[at] ^= 1;
+        encoded
+    }
+
+    #[test]
+    fn generated_trace_hash_equals_the_streamed_content_hash() {
+        let n = Scale::tiny().instructions;
+        for profile in Scale::tiny().workloads() {
+            for seed in [0, 5] {
+                assert_eq!(
+                    generated_trace_hash(&profile, n, seed),
+                    pif_trace::content_hash(profile.stream_with_execution_seed(n, seed)),
+                    "{} seed {seed}",
+                    profile.name()
+                );
+            }
+        }
+    }
+
+    /// Every synthetic Engine cell replays the shared trace to exactly the
+    /// result of streaming the workload's generator into `Engine::run`.
+    #[test]
+    fn replayed_engine_cells_equal_streamed_engine_runs() {
+        let kinds = [
+            PrefetcherKind::None,
+            PrefetcherKind::NextLine,
+            PrefetcherKind::Tifs,
+            PrefetcherKind::TifsUnbounded,
+            PrefetcherKind::Discontinuity,
+            PrefetcherKind::Pif,
+            PrefetcherKind::Perfect,
+        ];
+        let mut spec = SweepSpec::new("replay", "replay vs stream", Measure::Engine)
+            .with_workloads(vec!["Web-Zeus"])
+            .with_prefetchers(kinds.to_vec());
+        spec.seed_offset = 3;
+        let scale = Scale::tiny();
+        let report = crate::run_spec(&spec, &crate::RunOptions::new().scale(scale).threads(2));
+        let profile = scale
+            .workloads()
+            .into_iter()
+            .find(|w| w.name() == "Web-Zeus")
+            .unwrap();
+        assert_eq!(report.cells.len(), kinds.len());
+        for (cell, kind) in report.cells.iter().zip(kinds) {
+            let streamed = engine_run(
+                &Engine::new(spec.engine_base),
+                profile.stream_with_execution_seed(scale.instructions, spec.seed_offset),
+                kind,
+                spec.pif_base,
+                scale.warmup_instrs(),
+            );
+            let mut expected = cell.clone();
+            expected.metrics.clear();
+            engine_metrics(&mut expected, &streamed);
+            let replayed: Vec<_> = cell
+                .metrics
+                .iter()
+                .filter(|(name, _)| name != "uipc_speedup_vs_none")
+                .cloned()
+                .collect();
+            assert_eq!(replayed, expected.metrics, "{}", kind.label());
+        }
+    }
+
+    #[test]
+    fn corrupt_shared_traces_fail_with_the_decode_error() {
+        let scale = Scale::tiny();
+        let profile = &scale.workloads()[0];
+        let clean = encode_generated(profile, scale.instructions, 0);
+        let engine = Engine::new(EngineConfig::paper_default());
+        let replay = |encoded: &[u8]| {
+            engine_replay(
+                &engine,
+                encoded,
+                PrefetcherKind::None,
+                pif_core::PifConfig::paper_default(),
+                scale.warmup_instrs(),
+            )
+        };
+        let report = replay(&clean).expect("the clean trace replays");
+        assert_eq!(report.frontend.instructions, scale.instructions as u64);
+        let cases: [(Corruption, &str); 5] = [
+            (cut_after_first_chunk, "truncated"),
+            (cut_in_half, "truncated"),
+            (cut_last_byte, "truncated"),
+            (flip_first_flags, "invalid trap level"),
+            (flip_terminator_count, "record count mismatch"),
+        ];
+        for (corrupt, what) in cases {
+            assert_eq!(
+                replay(&corrupt(clean.clone())).map(|r| r.frontend.instructions),
+                Err(TraceDecodeError::Corrupt(what))
+            );
+        }
+    }
+
+    /// A corrupt shared trace fails its sweep, and a submit of that sweep
+    /// gets a typed error frame naming the decode error; the daemon
+    /// keeps serving.
+    #[test]
+    fn corrupt_shared_trace_reaches_the_client_as_an_error_frame() {
+        // A scale no other test runs at, so the corruption stays local.
+        let instructions = 20_011;
+        TAMPER
+            .lock()
+            .unwrap()
+            .push((instructions, flip_terminator_count));
+        let service = Service::start(ServiceConfig {
+            queue_depth: 2,
+            threads: 2,
+            cache_dir: None,
+            ..ServiceConfig::default()
+        });
+        let shutdown = AtomicBool::new(false);
+        let submit = Request::Submit {
+            id: 11,
+            spec: "fig10".to_string(),
+            scale: Scale {
+                instructions,
+                ..Scale::tiny()
+            },
+            smoke: true,
+            deadline_ms: None,
+        };
+        let frame = handle_request(&submit.to_line(), &service, &shutdown).to_line();
+        let Response::Error {
+            kind,
+            retryable,
+            request_id,
+            message,
+            ..
+        } = Response::parse(&frame).unwrap()
+        else {
+            panic!("expected an error frame, got {frame}");
+        };
+        assert_eq!(kind, "failed");
+        assert!(!retryable, "a corrupt trace fails the same way again");
+        assert_eq!(request_id, 11);
+        assert!(message.contains("record count mismatch"), "{message}");
+        let ping = Request::Ping.to_line();
+        assert_eq!(handle_request(&ping, &service, &shutdown), Response::Pong);
+        service.shutdown();
+    }
 }

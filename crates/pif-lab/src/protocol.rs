@@ -19,6 +19,10 @@
 //!  "scale": {"instructions": 40000, "footprint": 0.03, "warmup_fraction": 0.3}}
 //! ```
 //!
+//! A `submit`'s `scale` must have `instructions` an integer in
+//! `1..=Scale::paper().instructions`, `footprint` in (0, 1] and
+//! `warmup_fraction` in [0, 1); any other scale is a `bad_request`.
+//!
 //! Responses mirror the request (`pong`, `stats`, `metrics`,
 //! `shutting_down`, `report`) or report an error. A `report` response
 //! embeds the full `pif-lab-sweep/v1` document **as a JSON string**, not
@@ -465,16 +469,42 @@ fn scale_json(scale: &Scale) -> String {
     )
 }
 
+/// Parses a client-supplied scale, rejecting any value outside the range
+/// the daemon can run: `instructions` an integer in
+/// `1..=Scale::paper().instructions`, `footprint` in (0, 1] and
+/// `warmup_fraction` in [0, 1). Unchecked, a huge count would abort the
+/// daemon on allocation, and negative or NaN values would silently
+/// become 0.
 fn parse_scale(j: &Json) -> Result<Scale, String> {
     let f = |key: &str| -> Result<f64, String> {
         j.get(key)
             .and_then(Json::as_f64)
             .ok_or_else(|| format!("scale missing numeric {key:?}"))
     };
+    let max_instructions = Scale::paper().instructions;
+    let instructions = f("instructions")?;
+    if !(instructions.fract() == 0.0 && (1.0..=max_instructions as f64).contains(&instructions)) {
+        return Err(format!(
+            "scale \"instructions\" must be an integer in 1..={max_instructions}, \
+             got {instructions}"
+        ));
+    }
+    let footprint = f("footprint")?;
+    if !(footprint > 0.0 && footprint <= 1.0) {
+        return Err(format!(
+            "scale \"footprint\" must be in (0, 1], got {footprint}"
+        ));
+    }
+    let warmup_fraction = f("warmup_fraction")?;
+    if !(0.0..1.0).contains(&warmup_fraction) {
+        return Err(format!(
+            "scale \"warmup_fraction\" must be in [0, 1), got {warmup_fraction}"
+        ));
+    }
     Ok(Scale {
-        instructions: f("instructions")? as usize,
-        footprint: f("footprint")?,
-        warmup_fraction: f("warmup_fraction")?,
+        instructions: instructions as usize,
+        footprint,
+        warmup_fraction,
     })
 }
 

@@ -128,7 +128,8 @@ impl Pool {
     ///
     /// # Panics
     ///
-    /// Propagates a panic from any worker.
+    /// Propagates the first panic of any job, with its own payload, once
+    /// the running jobs finish; no further jobs start after it.
     pub fn run_indexed_stats<R, F>(&self, n_jobs: usize, f: F) -> (Vec<R>, PoolRunStats)
     where
         R: Send,
@@ -139,8 +140,9 @@ impl Pool {
         let slots: Vec<Mutex<Option<R>>> = (0..n_jobs).map(|_| Mutex::new(None)).collect();
         // Which worker claimed each job index, for the steal counter.
         let claims: Vec<AtomicUsize> = (0..n_jobs).map(|_| AtomicUsize::new(usize::MAX)).collect();
+        let panicked = Mutex::new(None);
         std::thread::scope(|s| {
-            let (next, claims, slots, f) = (&next, &claims, &slots, &f);
+            let (next, claims, slots, f, panicked) = (&next, &claims, &slots, &f, &panicked);
             for worker in 0..threads {
                 s.spawn(move || loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
@@ -148,11 +150,27 @@ impl Pool {
                         break;
                     }
                     claims[i].store(worker, Ordering::Relaxed);
-                    let result = f(i);
-                    *slots[i].lock().expect("result slot poisoned") = Some(result);
+                    // Caught so the caller sees the job's own message
+                    // rather than the scope's generic one.
+                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i))) {
+                        Ok(result) => {
+                            *slots[i].lock().expect("result slot poisoned") = Some(result)
+                        }
+                        Err(payload) => {
+                            next.store(n_jobs, Ordering::Relaxed);
+                            panicked
+                                .lock()
+                                .expect("panic slot poisoned")
+                                .get_or_insert(payload);
+                            break;
+                        }
+                    }
                 });
             }
         });
+        if let Some(payload) = panicked.into_inner().expect("panic slot poisoned") {
+            std::panic::resume_unwind(payload);
+        }
         let stolen_jobs = claims
             .windows(2)
             .filter(|w| w[0].load(Ordering::Relaxed) != w[1].load(Ordering::Relaxed))

@@ -181,3 +181,103 @@ fn malformed_frames_get_errors_not_disconnects() {
     });
     service.shutdown();
 }
+
+/// Every scale value outside the range the daemon can run gets a typed,
+/// non-retryable `bad_request` frame instead of a run — a huge count
+/// used to abort the whole daemon on allocation — and the daemon keeps
+/// answering afterwards.
+#[test]
+fn out_of_range_scales_get_bad_request_frames() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let service = Service::start(ServiceConfig {
+        queue_depth: 2,
+        threads: 1,
+        cache_dir: None,
+        ..ServiceConfig::default()
+    });
+    let shutdown = AtomicBool::new(false);
+
+    let tiny = Scale::tiny();
+    let max = Scale::paper().instructions;
+    let scale = |instructions: &str, footprint: &str, warmup: &str| {
+        format!(
+            "{{\"proto\": \"piflab/1\", \"cmd\": \"submit\", \"id\": 3, \"spec\": \"fig9-history\", \
+             \"smoke\": true, \"scale\": {{\"instructions\": {instructions}, \
+             \"footprint\": {footprint}, \"warmup_fraction\": {warmup}}}}}\n"
+        )
+    };
+    let (n, fp, wf) = (
+        tiny.instructions.to_string(),
+        tiny.footprint.to_string(),
+        tiny.warmup_fraction.to_string(),
+    );
+    let too_many = (max + 1).to_string();
+    let mut bad = Vec::new();
+    for instructions in ["1e12", too_many.as_str(), "0", "-5", "1.5", "1e999"] {
+        bad.push(scale(instructions, &fp, &wf));
+    }
+    for footprint in ["0", "-0.1", "1.5", "1e999", "-1e999"] {
+        bad.push(scale(&n, footprint, &wf));
+    }
+    for warmup in ["-0.1", "1", "2.5", "1e999"] {
+        bad.push(scale(&n, &fp, warmup));
+    }
+
+    std::thread::scope(|s| {
+        let server = s.spawn(|| serve(listener, &service, &shutdown).unwrap());
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        for frame in &bad {
+            writer.write_all(frame.as_bytes()).unwrap();
+            writer.flush().unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            match Response::parse(&line).unwrap() {
+                Response::Error {
+                    kind,
+                    retryable,
+                    message,
+                    ..
+                } => {
+                    assert_eq!(kind, "bad_request", "{frame}");
+                    assert!(!retryable, "{frame}");
+                    assert!(message.contains("scale"), "{frame}: {message}");
+                }
+                other => panic!("expected bad_request for {frame}, got {other:?}"),
+            }
+            assert_eq!(exchange(&stream, &Request::Ping), Response::Pong);
+        }
+        // The bounds themselves are accepted.
+        let edge = Scale {
+            instructions: 1,
+            footprint: 1.0,
+            warmup_fraction: 0.0,
+        };
+        let response = exchange(
+            &stream,
+            &Request::Submit {
+                id: 4,
+                spec: "table1".to_string(),
+                scale: edge,
+                smoke: true,
+                deadline_ms: None,
+            },
+        );
+        assert!(
+            matches!(response, Response::Report { request_id: 4, .. }),
+            "{response:?}"
+        );
+        assert_eq!(
+            exchange(&stream, &Request::Shutdown),
+            Response::ShuttingDown
+        );
+        server.join().unwrap();
+    });
+    let stats = service.shutdown();
+    assert_eq!(
+        stats.submitted, 1,
+        "no out-of-range scale reached the queue"
+    );
+}

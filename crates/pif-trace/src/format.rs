@@ -39,6 +39,10 @@ const KIND_MASK: u8 = 0b0011_1000;
 const TAKEN: u8 = 0b0100_0000;
 const IMPLICIT_FALL_THROUGH: u8 = 0b1000_0000;
 
+// `decode_chunk`'s fast path reads a flags byte below `TrapLevel::COUNT`
+// as a plain record, so every valid index must fit the trap-level bits.
+const _: () = assert!(TrapLevel::COUNT <= TL_MASK as usize + 1);
+
 /// Instruction width assumed by the implicit fall-through optimization
 /// (`fall_through == pc + 4`, true for every branch the workload
 /// generator emits).
@@ -137,11 +141,19 @@ pub fn decode_record(
 ///
 /// Semantically identical to calling [`decode_record`] `records` times
 /// from a zeroed delta base — the proptests in
-/// `tests/decode_batched.rs` hold the two paths equal — but the tight
-/// loop over a flat output `Vec` keeps the varint decode
-/// branch-predictable instead of interleaving it with per-record
-/// consumer work. The caller reuses `out` across chunks, so steady-state
-/// decoding allocates nothing.
+/// `tests/decode_batched.rs` hold the two paths equal, record for record
+/// and error for error — but the tight loop over a flat output `Vec`
+/// keeps the varint decode branch-predictable instead of interleaving it
+/// with per-record consumer work. The caller reuses `out` across chunks,
+/// so steady-state decoding allocates nothing.
+///
+/// The dominant record, a non-branch instruction whose zigzagged pc delta
+/// fits one varint byte, is two bytes, `flags` and `delta < 0x80`, and is
+/// decoded inline. A flags byte below [`TrapLevel::COUNT`] is exactly a
+/// valid trap level with no branch bits, so the fast path accepts only
+/// records [`decode_record`] accepts, with the same result; everything
+/// else — branches, wider deltas, and every malformed or truncated
+/// record — takes [`decode_record`] and fails with its error.
 pub fn decode_chunk(
     payload: &[u8],
     records: u32,
@@ -152,6 +164,18 @@ pub fn decode_chunk(
     let mut slice = payload;
     let mut prev_pc = 0u64;
     for _ in 0..records {
+        if let [flags, delta, rest @ ..] = slice {
+            if (*flags as usize) < TrapLevel::COUNT && *delta < 0x80 {
+                prev_pc = prev_pc.wrapping_add(unzigzag(u64::from(*delta)) as u64);
+                out.push(RetiredInstr {
+                    pc: Address::new(prev_pc),
+                    trap_level: TrapLevel::from_index(*flags as usize),
+                    branch: None,
+                });
+                slice = rest;
+                continue;
+            }
+        }
         out.push(decode_record(&mut slice, &mut prev_pc)?);
     }
     if !slice.is_empty() {

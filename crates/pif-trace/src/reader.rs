@@ -306,6 +306,28 @@ impl<R: Read> TraceReader<R> {
         }))
     }
 
+    /// Serves the next record of the current v2 chunk when it is already
+    /// decoded — the per-record fast path of [`Instrs`] and [`InstrsMut`].
+    /// `None` means the chunk is drained (or the reader is not mid-v2):
+    /// the caller falls back to [`Iterator::next`], which loads the next
+    /// chunk, verifies the terminator, or reports an error.
+    #[inline]
+    fn next_decoded(&mut self) -> Option<RetiredInstr> {
+        let State::V2 {
+            decoded,
+            next,
+            records_read,
+            ..
+        } = &mut self.state
+        else {
+            return None;
+        };
+        let instr = *decoded.get(*next)?;
+        *next += 1;
+        *records_read += 1;
+        Some(instr)
+    }
+
     fn next_v2(&mut self) -> Result<Option<RetiredInstr>, TraceDecodeError> {
         let State::V2 {
             raw,
@@ -612,7 +634,11 @@ impl<R: Read> Instrs<R> {
 impl<R: Read> Iterator for Instrs<R> {
     type Item = RetiredInstr;
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
+        if let Some(instr) = self.reader.next_decoded() {
+            return Some(instr);
+        }
         if self.error.is_some() {
             return None;
         }
@@ -652,7 +678,11 @@ impl<R: Read> InstrsMut<'_, R> {
 impl<R: Read> Iterator for InstrsMut<'_, R> {
     type Item = RetiredInstr;
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
+        if let Some(instr) = self.reader.next_decoded() {
+            return Some(instr);
+        }
         if self.error.is_some() {
             return None;
         }
