@@ -7,7 +7,7 @@
 //! only one transition at a time, limiting lookahead; PIF's full stream
 //! history removes that limit.
 
-use pif_sim::cache::{AccessOutcome, Lru, SetAssocCache};
+use pif_sim::cache::{AccessOutcome, SetAssocCache};
 use pif_sim::{PrefetchContext, Prefetcher};
 use pif_types::{BlockAddr, FetchAccess};
 
@@ -26,7 +26,7 @@ use pif_types::{BlockAddr, FetchAccess};
 #[derive(Debug)]
 pub struct DiscontinuityPrefetcher {
     /// Discontinuity table: source block -> discontinuous target block.
-    table: SetAssocCache<Lru, BlockAddr>,
+    table: SetAssocCache<BlockAddr>,
     /// Sequential blocks prefetched after each predicted target.
     depth: usize,
     last_block: Option<BlockAddr>,

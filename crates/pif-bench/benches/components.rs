@@ -7,7 +7,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use pif_bench::bench_trace;
 use pif_core::{HistoryBuffer, Pif, PifConfig, SabPool, SpatialCompactor, TemporalCompactor};
 use pif_sim::bpred::{DirectionPredictor, HybridPredictor};
-use pif_sim::cache::{InstructionCache, Lru, SetAssocCache};
+use pif_sim::cache::{InstructionCache, SetAssocCache};
 use pif_sim::frontend::FrontEnd;
 use pif_sim::{Engine, EngineConfig, FrontendConfig, ICacheConfig, NoPrefetcher, RunOptions};
 use pif_types::{Address, BlockAddr, RegionGeometry, SpatialRegionRecord};
@@ -17,7 +17,7 @@ fn bench_cache(c: &mut Criterion) {
     g.throughput(Throughput::Elements(1));
 
     g.bench_function("set_assoc_hit", |b| {
-        let mut cache: SetAssocCache<Lru, ()> = SetAssocCache::new(512, 2).unwrap();
+        let mut cache: SetAssocCache<()> = SetAssocCache::new(512, 2).unwrap();
         cache.insert(BlockAddr::from_number(42), ());
         b.iter(|| black_box(cache.access(black_box(BlockAddr::from_number(42)))).is_some())
     });
@@ -25,7 +25,7 @@ fn bench_cache(c: &mut Criterion) {
     g.bench_function("set_assoc_miss", |b| {
         // Warm cache, then access blocks that always miss (disjoint tag
         // space): measures the full-set tag scan without fills.
-        let mut cache: SetAssocCache<Lru, ()> = SetAssocCache::new(512, 2).unwrap();
+        let mut cache: SetAssocCache<()> = SetAssocCache::new(512, 2).unwrap();
         for n in 0..1024u64 {
             cache.insert(BlockAddr::from_number(n), ());
         }
@@ -38,7 +38,7 @@ fn bench_cache(c: &mut Criterion) {
 
     g.bench_function("set_assoc_insert_evict", |b| {
         // Every insert conflicts in a full cache: fill + eviction path.
-        let mut cache: SetAssocCache<Lru, ()> = SetAssocCache::new(512, 2).unwrap();
+        let mut cache: SetAssocCache<()> = SetAssocCache::new(512, 2).unwrap();
         for n in 0..1024u64 {
             cache.insert(BlockAddr::from_number(n), ());
         }
@@ -51,7 +51,7 @@ fn bench_cache(c: &mut Criterion) {
 
     g.bench_function("set_assoc_probe_16way", |b| {
         // The L2 geometry: 16-way tag scan, non-perturbing.
-        let mut cache: SetAssocCache<Lru, ()> = SetAssocCache::new(512, 16).unwrap();
+        let mut cache: SetAssocCache<()> = SetAssocCache::new(512, 16).unwrap();
         for n in 0..8192u64 {
             cache.insert(BlockAddr::from_number(n), ());
         }

@@ -1,12 +1,13 @@
-//! Trace codec benchmarks: v1 (fixed-width) vs v2 (chunked delta/varint)
-//! encode/decode throughput, plus a one-shot bytes-per-instruction report.
+//! Trace codec benchmarks: v2 (chunked delta/varint) encode, v1
+//! (fixed-width, read-only legacy) and v2 decode throughput, plus a
+//! one-shot bytes-per-instruction report.
 //!
 //! Run with: `cargo bench -p pif-bench --bench trace_codec`
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
-use pif_trace::{encode_v2, scan_info, TraceReader};
-use pif_workloads::io::{decode_trace, encode_trace};
+use pif_trace::codec::encode_v1;
+use pif_trace::{decode, encode_v2, scan_info, TraceReader};
 use pif_workloads::{Trace, WorkloadProfile};
 
 const INSTRS: usize = 100_000;
@@ -18,7 +19,7 @@ fn fixture() -> Trace {
 /// Prints the size comparison the tentpole targets (≥2× smaller on
 /// OLTP-DB2); runs once, outside measurement.
 fn report_sizes(trace: &Trace) {
-    let v1 = encode_trace(trace);
+    let v1 = encode_v1(trace.name(), trace.instrs());
     let v2 = encode_v2(trace.name(), trace.instrs());
     let n = trace.len() as f64;
     eprintln!(
@@ -36,9 +37,6 @@ fn bench_encode(c: &mut Criterion) {
     report_sizes(&trace);
     let mut g = c.benchmark_group("trace_encode");
     g.throughput(Throughput::Elements(INSTRS as u64));
-    g.bench_function("v1", |b| {
-        b.iter(|| black_box(encode_trace(black_box(&trace))))
-    });
     g.bench_function("v2", |b| {
         b.iter(|| black_box(encode_v2(trace.name(), black_box(trace.instrs()))))
     });
@@ -47,14 +45,12 @@ fn bench_encode(c: &mut Criterion) {
 
 fn bench_decode(c: &mut Criterion) {
     let trace = fixture();
-    let v1 = encode_trace(&trace);
+    let v1 = encode_v1(trace.name(), trace.instrs());
     let v2 = encode_v2(trace.name(), trace.instrs());
     let mut g = c.benchmark_group("trace_decode");
     g.throughput(Throughput::Elements(INSTRS as u64));
-    g.bench_function("v1", |b| b.iter(|| decode_trace(black_box(&v1)).unwrap()));
-    g.bench_function("v2", |b| {
-        b.iter(|| pif_trace::decode(black_box(&v2)).unwrap())
-    });
+    g.bench_function("v1", |b| b.iter(|| decode(black_box(&v1)).unwrap()));
+    g.bench_function("v2", |b| b.iter(|| decode(black_box(&v2)).unwrap()));
     g.bench_function("v2_streaming", |b| {
         b.iter(|| {
             let reader = TraceReader::open(black_box(v2.as_slice())).unwrap();

@@ -30,8 +30,7 @@
 
 use std::sync::Arc;
 
-use rand::{rngs::SmallRng, Rng, SeedableRng};
-
+use pif_types::rng::{splitmix64, SmallRng};
 use pif_types::{Address, BranchInfo, BranchKind, RetiredInstr, TrapLevel};
 
 use crate::cfg::{Cfg, Terminator};
@@ -127,17 +126,9 @@ pub struct Walker {
     until_interrupt: u64,
 }
 
-/// SplitMix64 finaliser: the per-branch bias hash.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// Geometric inter-arrival sample with the given mean (>= 1).
 fn geometric(rng: &mut SmallRng, mean: f64) -> u64 {
-    let u: f64 = rng.gen::<f64>().max(1e-12);
+    let u = rng.next_f64().max(1e-12);
     ((-u.ln() * mean).ceil() as u64).max(1)
 }
 
@@ -210,7 +201,11 @@ impl Walker {
     /// most branches are strongly biased one way, a property of real
     /// code the bias table reproduces per (branch, seed).
     fn bias(&self, pc: u64) -> f64 {
-        let h = mix64(pc ^ mix64(self.conf.seed ^ 0xb1a5)); // bias domain
+        // One SplitMix64 step as a finaliser, keyed by the seed's bias
+        // domain.
+        let mut domain = self.conf.seed ^ 0xb1a5;
+        let mut state = pc ^ splitmix64(&mut domain);
+        let h = splitmix64(&mut state);
         0.05 + 0.90 * (h >> 11) as f64 / (1u64 << 53) as f64
     }
 

@@ -1,7 +1,7 @@
 //! The index table (§4.2): a small cache-like structure mapping a trigger
 //! block to the location of its most recent record in the history buffer.
 
-use pif_sim::cache::{Lru, SetAssocCache};
+use pif_sim::cache::SetAssocCache;
 use pif_types::{BlockAddr, ConfigError};
 
 /// The index table. Bounded and set-associative like the paper's
@@ -23,7 +23,7 @@ use pif_types::{BlockAddr, ConfigError};
 /// ```
 #[derive(Debug, Clone)]
 pub struct IndexTable {
-    table: SetAssocCache<Lru, u64>,
+    table: SetAssocCache<u64>,
     inserts: u64,
     hits: u64,
     lookups: u64,

@@ -19,7 +19,7 @@
 //! A [`FailPlan`] maps site names to a [`SiteRule`]: an action
 //! ([`FailAction`]), a firing probability, and an optional fire cap.
 //! Plans are fully deterministic: every site draws from its own
-//! SplitMix64 stream seeded by `plan.seed ^ fnv1a(site)`, so the
+//! SplitMix64 stream seeded by `plan.seed ^ fnv1a_64(site)`, so the
 //! decision sequence at one site does not depend on how other sites
 //! interleave with it. Install a plan from code with [`install`], or
 //! from the `PIF_FAIL` environment variable with [`install_env`]:
@@ -46,6 +46,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
+
+use pif_types::rng::{fnv1a_64_once, splitmix64};
 
 /// What an armed failpoint does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -240,26 +242,6 @@ fn lock_active() -> std::sync::MutexGuard<'static, Option<ActivePlan>> {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(s: &str) -> u64 {
-    let mut h = FNV_OFFSET;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Installs `plan` as the process-global active plan, replacing any
 /// previous one and resetting all counters.
 pub fn install(plan: &FailPlan) {
@@ -271,7 +253,7 @@ pub fn install(plan: &FailPlan) {
                 name.clone(),
                 Arc::new(ActiveSite {
                     rule: *rule,
-                    rng: Mutex::new(plan.seed ^ fnv1a(name)),
+                    rng: Mutex::new(plan.seed ^ fnv1a_64_once(name.as_bytes())),
                     evals: AtomicU64::new(0),
                     fires: AtomicU64::new(0),
                 }),
@@ -476,9 +458,9 @@ mod tests {
     #[test]
     fn site_streams_are_independent_of_seed_and_name() {
         // Same site + seed → same first outputs; different name → different.
-        let mut a = 42 ^ fnv1a("cache.store.write");
-        let mut b = 42 ^ fnv1a("cache.store.write");
-        let mut c = 42 ^ fnv1a("proto.write.frame");
+        let mut a = 42 ^ fnv1a_64_once(b"cache.store.write");
+        let mut b = 42 ^ fnv1a_64_once(b"cache.store.write");
+        let mut c = 42 ^ fnv1a_64_once(b"proto.write.frame");
         assert_eq!(splitmix64(&mut a), splitmix64(&mut b));
         assert_ne!(splitmix64(&mut a), splitmix64(&mut c));
     }

@@ -61,6 +61,7 @@ use pif_lab::{
     protocol, registry, render, report, run_spec_profiled, run_spec_stats, ResultCache, RunOptions,
     Scale, SweepReport,
 };
+use pif_types::rng::splitmix64;
 
 /// One dispatch-table row: verb, usage line, handler.
 type Command = (&'static str, &'static str, fn(&[String]) -> ExitCode);
@@ -722,19 +723,12 @@ fn attempt_is_retryable(failure: &SubmitFailure, frame_retryable: bool) -> bool 
     }
 }
 
-/// Exponential backoff with deterministic jitter: attempt `n` sleeps a
-/// duration drawn from `[base·2ⁿ/2, base·2ⁿ]`, the draw seeded by
-/// (seed, attempt) so tests are reproducible.
-fn backoff_delay(base_ms: u64, attempt: u32, seed: u64) -> Duration {
+/// Exponential backoff with jitter: attempt `n` sleeps a duration in
+/// `[base·2ⁿ/2, base·2ⁿ]` picked by the random word `draw`.
+fn backoff_delay(base_ms: u64, attempt: u32, draw: u64) -> Duration {
     let exp = base_ms.saturating_mul(1u64 << attempt.min(10));
-    let mut z = seed
-        .wrapping_add(u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15))
-        .wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
     let half = exp / 2;
-    Duration::from_millis(half + z % (half.max(1) + 1))
+    Duration::from_millis(half + draw % (half.max(1) + 1))
 }
 
 /// One connect + one request/response exchange, no retries.
@@ -771,7 +765,8 @@ fn submit_with_retry(
     base_ms: u64,
     quiet: bool,
 ) -> Result<Response, SubmitFailure> {
-    let seed = u64::from(std::process::id());
+    // Jitter draws: one SplitMix64 step per retry, seeded by the pid.
+    let mut jitter = u64::from(std::process::id());
     let mut attempt = 0u32;
     loop {
         let (failure, frame_retryable) = match exchange_once(addr, request) {
@@ -795,7 +790,7 @@ fn submit_with_retry(
         if attempt >= retries || !attempt_is_retryable(&failure, frame_retryable) {
             return Err(failure);
         }
-        let delay = backoff_delay(base_ms, attempt, seed);
+        let delay = backoff_delay(base_ms, attempt, splitmix64(&mut jitter));
         if !quiet {
             eprintln!(
                 "piflab submit: attempt {} failed ({failure}); retrying in {} ms",
@@ -1298,12 +1293,13 @@ mod tests {
         };
         assert!(attempt_is_retryable(&daemon, true));
         assert!(!attempt_is_retryable(&daemon, false));
+        let mut jitter = 7;
         for attempt in 0..4 {
-            let d = backoff_delay(100, attempt, 7);
-            assert_eq!(d, backoff_delay(100, attempt, 7), "same seed, same delay");
             let exp = 100u64 << attempt;
-            let ms = d.as_millis() as u64;
-            assert!(ms >= exp / 2 && ms <= exp, "attempt {attempt}: {ms} ms");
+            for draw in [0, u64::MAX, splitmix64(&mut jitter)] {
+                let ms = backoff_delay(100, attempt, draw).as_millis() as u64;
+                assert!(ms >= exp / 2 && ms <= exp, "attempt {attempt}: {ms} ms");
+            }
         }
     }
 

@@ -21,7 +21,9 @@
 //!
 //! A `submit`'s `scale` must have `instructions` an integer in
 //! `1..=Scale::paper().instructions`, `footprint` in (0, 1] and
-//! `warmup_fraction` in [0, 1); any other scale is a `bad_request`.
+//! `warmup_fraction` in [0, 1); any other scale is a `bad_request`. So is
+//! an `id` that is not an integer in `0..=2^53`, a `deadline_ms` that is
+//! not an integer ≥ 1, and a `smoke` that is not a bool.
 //!
 //! Responses mirror the request (`pong`, `stats`, `metrics`,
 //! `shutting_down`, `report`) or report an error. A `report` response
@@ -148,17 +150,20 @@ impl Request {
                     .and_then(Json::as_str)
                     .ok_or("submit missing \"spec\"")?
                     .to_string();
-                let smoke = j.get("smoke").and_then(Json::as_bool).unwrap_or(false);
+                let smoke = match j.get("smoke") {
+                    None => false,
+                    Some(v) => v
+                        .as_bool()
+                        .ok_or_else(|| format!("submit \"smoke\" must be a bool, got {v:?}"))?,
+                };
                 let scale = j
                     .get("scale")
                     .map(parse_scale)
                     .transpose()?
                     .unwrap_or_default();
-                let id = j.get("id").and_then(Json::as_f64).map_or(0, |v| v as u64);
-                let deadline_ms = j
-                    .get("deadline_ms")
-                    .and_then(Json::as_f64)
-                    .map(|v| v as u64);
+                let id = integer_field(&j, "id", 0.0..=MAX_ID, "in 0..=2^53")?.unwrap_or(0);
+                // The range `piflab submit --deadline-ms` enforces.
+                let deadline_ms = integer_field(&j, "deadline_ms", 1.0..=f64::MAX, ">= 1")?;
                 Ok(Request::Submit {
                     id,
                     spec,
@@ -467,6 +472,31 @@ fn scale_json(scale: &Scale) -> String {
         fmt_f64(scale.footprint),
         fmt_f64(scale.warmup_fraction)
     )
+}
+
+/// Largest submit `id`: every integer up to 2^53 survives the f64 that
+/// JSON numbers parse into.
+const MAX_ID: f64 = (1u64 << 53) as f64;
+
+/// Reads the optional integer field `key` of a submit, which must lie in
+/// `range` (described as `bounds` in the error). JSON numbers parse as
+/// f64, and a cast would silently truncate a fraction, clamp a negative
+/// to 0 and saturate an overflow.
+fn integer_field(
+    j: &Json,
+    key: &str,
+    range: std::ops::RangeInclusive<f64>,
+    bounds: &str,
+) -> Result<Option<u64>, String> {
+    let Some(v) = j.get(key) else {
+        return Ok(None);
+    };
+    match v.as_f64() {
+        Some(x) if x.fract() == 0.0 && range.contains(&x) => Ok(Some(x as u64)),
+        _ => Err(format!(
+            "submit \"{key}\" must be an integer {bounds}, got {v:?}"
+        )),
+    }
 }
 
 /// Parses a client-supplied scale, rejecting any value outside the range

@@ -281,3 +281,103 @@ fn out_of_range_scales_get_bad_request_frames() {
         "no out-of-range scale reached the queue"
     );
 }
+
+/// A submit whose `id`, `deadline_ms` or `smoke` is present but out of
+/// range gets a non-retryable `bad_request` frame. A plain cast would
+/// turn a negative or fractional deadline into an immediate, retryable
+/// `deadline_exceeded`, a negative or fractional id into another id, and
+/// a non-bool smoke flag into `false`.
+#[test]
+fn out_of_range_submit_fields_get_bad_request_frames() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let service = Service::start(ServiceConfig {
+        queue_depth: 2,
+        threads: 1,
+        cache_dir: None,
+        ..ServiceConfig::default()
+    });
+    let shutdown = AtomicBool::new(false);
+
+    let tiny = Scale::tiny();
+    let submit = |field: &str| {
+        format!(
+            "{{\"proto\": \"piflab/1\", \"cmd\": \"submit\", \"spec\": \"table1\", {field}, \
+             \"scale\": {{\"instructions\": {}, \"footprint\": {}, \"warmup_fraction\": {}}}}}\n",
+            tiny.instructions, tiny.footprint, tiny.warmup_fraction
+        )
+    };
+    let bad: Vec<(&str, String)> = [
+        ("deadline_ms", "-1"),
+        ("deadline_ms", "0"),
+        ("deadline_ms", "0.5"),
+        ("deadline_ms", "\"100\""),
+        ("id", "-3"),
+        ("id", "1.5"),
+        ("id", "1e16"),
+        ("id", "\"7\""),
+        ("smoke", "\"yes\""),
+        ("smoke", "1"),
+        ("smoke", "null"),
+    ]
+    .into_iter()
+    .map(|(key, value)| (key, submit(&format!("\"{key}\": {value}"))))
+    .collect();
+
+    // Collect every reply first and assert after the daemon has shut
+    // down, so a wrong reply fails the test instead of leaving the
+    // server thread running.
+    let replies: Vec<(Response, Response)> = std::thread::scope(|s| {
+        let server = s.spawn(|| serve(listener, &service, &shutdown).unwrap());
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let replies = bad
+            .iter()
+            .map(|(_, frame)| {
+                writer.write_all(frame.as_bytes()).unwrap();
+                writer.flush().unwrap();
+                let mut line = String::new();
+                reader.read_line(&mut line).unwrap();
+                let reply = Response::parse(&line).unwrap();
+                (reply, exchange(&stream, &Request::Ping))
+            })
+            .collect();
+        exchange(&stream, &Request::Shutdown);
+        server.join().unwrap();
+        replies
+    });
+    let stats = service.shutdown();
+    for ((key, frame), (reply, ping)) in bad.iter().zip(replies) {
+        match reply {
+            Response::Error {
+                kind,
+                retryable,
+                message,
+                ..
+            } => {
+                assert_eq!(kind, "bad_request", "{frame}");
+                assert!(!retryable, "{frame}");
+                assert!(message.contains(key), "{frame}: {message}");
+            }
+            other => panic!("expected bad_request for {frame}, got {other:?}"),
+        }
+        assert_eq!(ping, Response::Pong, "{frame}");
+    }
+    assert_eq!(stats.submitted, 0, "no bad submit reached the queue");
+
+    // The bounds themselves parse.
+    let edge = submit("\"id\": 9007199254740992, \"deadline_ms\": 1, \"smoke\": false");
+    assert!(
+        matches!(
+            Request::parse(&edge),
+            Ok(Request::Submit {
+                id: 9_007_199_254_740_992,
+                deadline_ms: Some(1),
+                smoke: false,
+                ..
+            })
+        ),
+        "{edge}"
+    );
+}

@@ -2,7 +2,7 @@
 
 use pif_types::Address;
 
-use crate::cache::{Lru, SetAssocCache};
+use crate::cache::SetAssocCache;
 
 /// A BTB mapping branch PCs to their last-seen targets. Used for indirect
 /// calls/jumps, whose targets cannot be computed at fetch; a stale entry
@@ -23,7 +23,7 @@ use crate::cache::{Lru, SetAssocCache};
 /// ```
 #[derive(Debug, Clone)]
 pub struct BranchTargetBuffer {
-    table: SetAssocCache<Lru, Address>,
+    table: SetAssocCache<Address>,
 }
 
 impl BranchTargetBuffer {

@@ -6,7 +6,6 @@ use pif_types::BlockAddr;
 
 use crate::config::ICacheConfig;
 
-use super::replacement::Lru;
 use super::set_assoc::SetAssocCache;
 
 /// How a resident line got into the cache.
@@ -64,7 +63,7 @@ impl AccessOutcome {
 /// ```
 #[derive(Debug, Clone)]
 pub struct InstructionCache {
-    cache: SetAssocCache<Lru, LineMeta>,
+    cache: SetAssocCache<LineMeta>,
     config: ICacheConfig,
 }
 

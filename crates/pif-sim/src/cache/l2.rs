@@ -11,7 +11,6 @@ use pif_types::BlockAddr;
 
 use crate::config::L2Config;
 
-use super::replacement::Lru;
 use super::set_assoc::SetAssocCache;
 
 /// L2 model: a large set-associative presence tracker plus latencies.
@@ -31,7 +30,7 @@ use super::set_assoc::SetAssocCache;
 /// ```
 #[derive(Debug, Clone)]
 pub struct L2Model {
-    cache: SetAssocCache<Lru, ()>,
+    cache: SetAssocCache<()>,
     config: L2Config,
     hits: u64,
     misses: u64,

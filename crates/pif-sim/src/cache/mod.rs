@@ -1,5 +1,5 @@
-//! Cache models: a generic set-associative cache with pluggable
-//! replacement, the L1 instruction cache wrapper, and the L2 backing model.
+//! Cache models: a generic set-associative LRU cache, the L1 instruction
+//! cache wrapper, and the L2 backing model.
 
 mod icache;
 mod l2;
@@ -8,5 +8,4 @@ mod set_assoc;
 
 pub use icache::{AccessOutcome, InstructionCache, LineProvenance};
 pub use l2::L2Model;
-pub use replacement::{ArrayLru, Fifo, Lru, RandomEvict, ReplacementPolicy};
 pub use set_assoc::SetAssocCache;

@@ -1,77 +1,44 @@
-//! Replacement policies for the set-associative cache model.
+//! True least-recently-used replacement, the paper's L1-I policy (§2.1)
+//! and the policy of every set-associative structure in the model.
 //!
-//! Policies are per-set state machines: the cache tells the policy when a
-//! way is touched (hit or fill) and asks it which way to evict. Keeping the
-//! policy behind a trait lets tests demonstrate the paper's §2.1
-//! observation — that *the replacement policy's block-granularity decisions
-//! fragment temporal streams* — under different policies.
-//!
-//! For cache-layout friendliness the policy itself is a stateless marker
-//! type; the per-set state is an associated [`ReplacementPolicy::SetState`]
-//! value that the cache stores inline in one flat array (no per-set heap
-//! object). [`Lru`] and [`Fifo`] pack their state into a single `u64` word
-//! (4-bit way fields, up to 16 ways); [`ArrayLru`] is the small-array
-//! fallback for wider sets.
+//! A set's recency order is packed into one `u64` of 4-bit way fields,
+//! most-recently-used in the low nibble, so the cache stores it inline
+//! in a flat array (no per-set heap object). The packing caps sets at
+//! [`LruOrder::MAX_WAYS`] ways; the cache rejects wider geometries with a
+//! `ConfigError`.
 
-use std::fmt::Debug;
+/// Packed LRU recency order of one cache set.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct LruOrder(u64);
 
-/// Per-set replacement policy.
-///
-/// The policy type carries no instance data; all per-set state lives in a
-/// [`ReplacementPolicy::SetState`] value owned by the cache, one per set,
-/// stored inline in a flat `Vec`.
-pub trait ReplacementPolicy: Debug {
-    /// Per-set replacement state, stored inline in the cache.
-    type SetState: Copy + Debug;
+impl LruOrder {
+    /// Widest set the packed word can order.
+    pub(super) const MAX_WAYS: usize = 16;
 
-    /// Widest set this policy's packed state supports. The cache checks
-    /// this in `SetAssocCache::new` and reports a `ConfigError` for wider
-    /// geometries (pick a wider policy such as [`ArrayLru`] instead).
-    const MAX_WAYS: usize;
-
-    /// Creates the state for a set with the given number of ways.
+    /// The order of a fresh `ways`-way set: way 0 is MRU, way
+    /// `ways - 1` is LRU.
     ///
     /// # Panics
     ///
-    /// May panic if `ways` exceeds [`ReplacementPolicy::MAX_WAYS`]; the
-    /// cache constructor validates first.
-    fn init(ways: usize) -> Self::SetState;
-
-    /// Notes that `way` was touched (demand hit or new fill).
-    fn touch(state: &mut Self::SetState, ways: usize, way: usize);
-
-    /// Returns the way to evict next (the subsequent fill will
-    /// [`ReplacementPolicy::touch`] the way).
-    fn victim(state: &mut Self::SetState, ways: usize) -> usize;
-}
-
-/// True least-recently-used replacement (the paper's L1-I policy, §2.1).
-///
-/// State is a `u64` holding the way order as packed 4-bit fields,
-/// most-recently-used in the low nibble. Supports up to 16 ways; use
-/// [`ArrayLru`] beyond that.
-#[derive(Debug, Clone, Copy)]
-pub struct Lru;
-
-impl ReplacementPolicy for Lru {
-    type SetState = u64;
-    const MAX_WAYS: usize = 16;
-
-    fn init(ways: usize) -> u64 {
+    /// Panics unless `1 <= ways <= MAX_WAYS`; the cache constructor
+    /// validates first.
+    pub(super) fn new(ways: usize) -> Self {
         assert!(
-            ways > 0 && ways <= 16,
-            "packed LRU supports 1..=16 ways (use ArrayLru beyond)"
+            ways > 0 && ways <= Self::MAX_WAYS,
+            "packed LRU supports 1..=16 ways"
         );
-        // Nibble i holds way i: way 0 is MRU, way ways-1 is LRU.
+        // Nibble i holds way i.
         let mut state = 0u64;
         for way in 0..ways as u64 {
             state |= way << (4 * way);
         }
-        state
+        LruOrder(state)
     }
 
+    /// Makes `way` the most recently used (demand hit or new fill).
     #[inline]
-    fn touch(state: &mut u64, ways: usize, way: usize) {
+    pub(super) fn touch(&mut self, ways: usize, way: usize) {
+        let state = &mut self.0;
         let w = way as u64;
         let mut pos = 0;
         while pos < ways && (*state >> (4 * pos)) & 0xF != w {
@@ -90,110 +57,11 @@ impl ReplacementPolicy for Lru {
         *state = above | (below << 4) | w;
     }
 
+    /// The least recently used way, the next to evict (the fill that
+    /// follows touches it).
     #[inline]
-    fn victim(state: &mut u64, ways: usize) -> usize {
-        ((*state >> (4 * (ways - 1))) & 0xF) as usize
-    }
-}
-
-/// First-in-first-out replacement: evicts in fill order, ignoring hits.
-///
-/// State packs the round-robin fill pointer (low byte) and the last
-/// nominated victim plus one (second byte; 0 = none) into a `u64`. FIFO
-/// ignores touches on hits but must still learn fill order; the pointer
-/// advances only when the way it last nominated is touched, which the
-/// cache signals by touching the way it just filled.
-#[derive(Debug, Clone, Copy)]
-pub struct Fifo;
-
-const FIFO_NEXT_MASK: u64 = 0xFF;
-const FIFO_VICTIM_SHIFT: u32 = 8;
-
-impl ReplacementPolicy for Fifo {
-    type SetState = u64;
-    const MAX_WAYS: usize = 255;
-
-    fn init(ways: usize) -> u64 {
-        assert!(ways > 0 && ways <= 255, "unsupported way count");
-        0
-    }
-
-    #[inline]
-    fn touch(state: &mut u64, ways: usize, way: usize) {
-        let nominated = *state >> FIFO_VICTIM_SHIFT;
-        if nominated == way as u64 + 1 {
-            let next = ((*state & FIFO_NEXT_MASK) + 1) % ways as u64;
-            *state = next; // clears the nomination
-        }
-    }
-
-    #[inline]
-    fn victim(state: &mut u64, _ways: usize) -> usize {
-        let next = *state & FIFO_NEXT_MASK;
-        *state = next | ((next + 1) << FIFO_VICTIM_SHIFT);
-        next as usize
-    }
-}
-
-/// Pseudo-random replacement using a per-set xorshift generator.
-#[derive(Debug, Clone, Copy)]
-pub struct RandomEvict;
-
-impl ReplacementPolicy for RandomEvict {
-    type SetState = u64;
-    const MAX_WAYS: usize = usize::MAX;
-
-    fn init(ways: usize) -> u64 {
-        assert!(ways > 0, "unsupported way count");
-        0x9e37_79b9_7f4a_7c15
-    }
-
-    #[inline]
-    fn touch(_state: &mut u64, _ways: usize, _way: usize) {}
-
-    #[inline]
-    fn victim(state: &mut u64, ways: usize) -> usize {
-        // xorshift64*
-        *state ^= *state >> 12;
-        *state ^= *state << 25;
-        *state ^= *state >> 27;
-        (state.wrapping_mul(0x2545_f491_4f6c_dd1d) % ways as u64) as usize
-    }
-}
-
-/// Small-array LRU fallback for sets wider than the 16 ways the packed
-/// [`Lru`] word supports (up to 32 ways). Way indices are kept
-/// most-recently-used first in a fixed inline array — still no per-set
-/// heap allocation.
-#[derive(Debug, Clone, Copy)]
-pub struct ArrayLru;
-
-impl ReplacementPolicy for ArrayLru {
-    type SetState = [u8; 32];
-    const MAX_WAYS: usize = 32;
-
-    fn init(ways: usize) -> [u8; 32] {
-        assert!(ways > 0 && ways <= 32, "array LRU supports 1..=32 ways");
-        let mut order = [0u8; 32];
-        for (i, slot) in order.iter_mut().enumerate().take(ways) {
-            *slot = i as u8;
-        }
-        order
-    }
-
-    #[inline]
-    fn touch(state: &mut [u8; 32], ways: usize, way: usize) {
-        let w = way as u8;
-        let Some(pos) = state[..ways].iter().position(|&x| x == w) else {
-            return;
-        };
-        state.copy_within(..pos, 1);
-        state[0] = w;
-    }
-
-    #[inline]
-    fn victim(state: &mut [u8; 32], ways: usize) -> usize {
-        state[ways - 1] as usize
+    pub(super) fn victim(self, ways: usize) -> usize {
+        ((self.0 >> (4 * (ways - 1))) & 0xF) as usize
     }
 }
 
@@ -203,107 +71,66 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recent() {
-        let mut s = Lru::init(3);
-        Lru::touch(&mut s, 3, 0);
-        Lru::touch(&mut s, 3, 1);
-        Lru::touch(&mut s, 3, 2);
-        assert_eq!(Lru::victim(&mut s, 3), 0);
-        Lru::touch(&mut s, 3, 0); // 0 becomes MRU
-        assert_eq!(Lru::victim(&mut s, 3), 1);
+        let mut s = LruOrder::new(3);
+        s.touch(3, 0);
+        s.touch(3, 1);
+        s.touch(3, 2);
+        assert_eq!(s.victim(3), 0);
+        s.touch(3, 0); // 0 becomes MRU
+        assert_eq!(s.victim(3), 1);
     }
 
     #[test]
     fn lru_initial_order_is_way_order() {
         // No touches: way 3 is the initial LRU.
-        let mut s = Lru::init(4);
-        assert_eq!(Lru::victim(&mut s, 4), 3);
+        assert_eq!(LruOrder::new(4).victim(4), 3);
     }
 
     #[test]
     fn lru_victim_is_idempotent_without_touch() {
-        let mut s = Lru::init(2);
-        Lru::touch(&mut s, 2, 1);
-        assert_eq!(Lru::victim(&mut s, 2), 0);
-        assert_eq!(Lru::victim(&mut s, 2), 0);
+        let mut s = LruOrder::new(2);
+        s.touch(2, 1);
+        assert_eq!(s.victim(2), 0);
+        assert_eq!(s.victim(2), 0);
     }
 
     #[test]
     fn lru_supports_sixteen_ways() {
-        let mut s = Lru::init(16);
-        assert_eq!(Lru::victim(&mut s, 16), 15);
+        let mut s = LruOrder::new(16);
+        assert_eq!(s.victim(16), 15);
         // Touch ways 15 down to 0: way 0 ends up MRU, way 15 LRU.
         for way in (0..16).rev() {
-            Lru::touch(&mut s, 16, way);
+            s.touch(16, way);
         }
-        assert_eq!(Lru::victim(&mut s, 16), 15);
-        Lru::touch(&mut s, 16, 15);
-        assert_eq!(Lru::victim(&mut s, 16), 14);
-    }
-
-    #[test]
-    fn fifo_cycles_through_ways_on_fills() {
-        let mut s = Fifo::init(3);
-        let v0 = Fifo::victim(&mut s, 3);
-        Fifo::touch(&mut s, 3, v0); // fill
-        let v1 = Fifo::victim(&mut s, 3);
-        Fifo::touch(&mut s, 3, v1);
-        let v2 = Fifo::victim(&mut s, 3);
-        Fifo::touch(&mut s, 3, v2);
-        let v3 = Fifo::victim(&mut s, 3);
-        assert_eq!([v0, v1, v2, v3], [0, 1, 2, 0]);
-    }
-
-    #[test]
-    fn fifo_ignores_hits() {
-        let mut s = Fifo::init(2);
-        let v0 = Fifo::victim(&mut s, 2);
-        Fifo::touch(&mut s, 2, v0);
-        Fifo::touch(&mut s, 2, 0); // hit on way 0: must not perturb fill order
-        Fifo::touch(&mut s, 2, 0);
-        assert_eq!(Fifo::victim(&mut s, 2), 1);
-    }
-
-    #[test]
-    fn random_victims_in_range_and_vary() {
-        let mut s = RandomEvict::init(4);
-        let mut seen = [false; 4];
-        for _ in 0..64 {
-            let v = RandomEvict::victim(&mut s, 4);
-            assert!(v < 4);
-            seen[v] = true;
-        }
-        assert!(seen.iter().filter(|&&s| s).count() >= 2, "degenerate RNG");
+        assert_eq!(s.victim(16), 15);
+        s.touch(16, 15);
+        assert_eq!(s.victim(16), 14);
     }
 
     #[test]
     fn array_lru_matches_packed_lru() {
-        // Drive both LRU implementations with the same touch/victim
-        // sequence; they must agree at every step.
+        // Oracle: the recency order as a plain MRU-first array. Drive
+        // both with the same touch sequence; they must agree on the
+        // victim at every step.
         for ways in [1usize, 2, 3, 7, 16] {
-            let mut packed = Lru::init(ways);
-            let mut array = ArrayLru::init(ways);
+            let mut packed = LruOrder::new(ways);
+            let mut order: Vec<usize> = (0..ways).collect();
             let mut x = 0x1234_5678_u64;
             for _ in 0..500 {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
                 let way = (x % ways as u64) as usize;
-                Lru::touch(&mut packed, ways, way);
-                ArrayLru::touch(&mut array, ways, way);
+                packed.touch(ways, way);
+                let pos = order.iter().position(|&w| w == way).expect("tracked");
+                order.remove(pos);
+                order.insert(0, way);
                 assert_eq!(
-                    Lru::victim(&mut packed, ways),
-                    ArrayLru::victim(&mut array, ways),
+                    packed.victim(ways),
+                    order[ways - 1],
                     "ways={ways} way={way}"
                 );
             }
         }
-    }
-
-    #[test]
-    fn array_lru_supports_wide_sets() {
-        let mut s = ArrayLru::init(32);
-        assert_eq!(ArrayLru::victim(&mut s, 32), 31);
-        ArrayLru::touch(&mut s, 32, 31);
-        assert_eq!(ArrayLru::victim(&mut s, 32), 30);
     }
 }

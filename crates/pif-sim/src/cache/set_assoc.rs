@@ -2,22 +2,22 @@
 //!
 //! The cache uses a structure-of-arrays layout: a flat `tags` array of
 //! block numbers (with an invalid-slot sentinel), a parallel `meta` array,
-//! and one inline packed replacement-state word per set (see
-//! [`ReplacementPolicy`]). A lookup therefore scans `ways` consecutive
-//! `u64` tags in one or two cache lines and never chases a pointer — this
-//! is the hottest structure in the simulator, probed on every fetch,
-//! retirement, and prefetch request.
+//! and one inline packed LRU word per set. A lookup therefore scans
+//! `ways` consecutive `u64` tags in one or two cache lines and never
+//! chases a pointer — this is the hottest structure in the simulator,
+//! probed on every fetch, retirement, and prefetch request.
 
 use pif_types::{BlockAddr, ConfigError};
 
-use super::replacement::ReplacementPolicy;
+use super::replacement::LruOrder;
 
 /// Sentinel tag marking an empty way. Block numbers are block *addresses*
 /// shifted right by the block-offset bits, so `u64::MAX` can never name a
 /// real block.
 const INVALID_TAG: u64 = u64::MAX;
 
-/// A set-associative cache mapping [`BlockAddr`]s to per-line metadata `T`.
+/// A set-associative, true-LRU cache mapping [`BlockAddr`]s to per-line
+/// metadata `T`.
 ///
 /// The cache tracks presence only (this is a trace-driven simulator; the
 /// actual instruction bytes are irrelevant). Per-line metadata carries
@@ -26,17 +26,17 @@ const INVALID_TAG: u64 = u64::MAX;
 /// # Example
 ///
 /// ```
-/// use pif_sim::cache::{Lru, SetAssocCache};
+/// use pif_sim::cache::SetAssocCache;
 /// use pif_types::BlockAddr;
 ///
-/// let mut cache: SetAssocCache<Lru, ()> = SetAssocCache::new(4, 2).unwrap();
+/// let mut cache: SetAssocCache<()> = SetAssocCache::new(4, 2).unwrap();
 /// let b = BlockAddr::from_number(42);
 /// assert!(cache.access(b).is_none());
 /// cache.insert(b, ());
 /// assert!(cache.access(b).is_some());
 /// ```
 #[derive(Debug, Clone)]
-pub struct SetAssocCache<P: ReplacementPolicy, T = ()> {
+pub struct SetAssocCache<T = ()> {
     sets: usize,
     ways: usize,
     set_mask: u64,
@@ -46,18 +46,19 @@ pub struct SetAssocCache<P: ReplacementPolicy, T = ()> {
     tags: Vec<u64>,
     /// Parallel per-line metadata; `Some` exactly where the tag is valid.
     meta: Vec<Option<T>>,
-    /// One packed replacement-state word per set, stored inline.
-    repl: Vec<P::SetState>,
+    /// One packed LRU word per set, stored inline.
+    repl: Vec<LruOrder>,
     resident: usize,
 }
 
-impl<P: ReplacementPolicy, T> SetAssocCache<P, T> {
+impl<T> SetAssocCache<T> {
     /// Creates a cache with `sets` sets of `ways` ways.
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if `sets` is not a power of two or either
-    /// dimension is zero.
+    /// Returns [`ConfigError`] if `sets` is not a power of two, either
+    /// dimension is zero, or `ways` exceeds the 16 the packed LRU word
+    /// orders.
     pub fn new(sets: usize, ways: usize) -> Result<Self, ConfigError> {
         if sets == 0 || ways == 0 {
             return Err(ConfigError::new("cache sets and ways must be non-zero"));
@@ -67,10 +68,10 @@ impl<P: ReplacementPolicy, T> SetAssocCache<P, T> {
                 "set count {sets} is not a power of two"
             )));
         }
-        if ways > P::MAX_WAYS {
+        if ways > LruOrder::MAX_WAYS {
             return Err(ConfigError::new(format!(
-                "{ways} ways exceeds the replacement policy's limit of {} (use a wider policy such as ArrayLru)",
-                P::MAX_WAYS
+                "{ways} ways exceeds the LRU limit of {}",
+                LruOrder::MAX_WAYS
             )));
         }
         let mut meta = Vec::with_capacity(sets * ways);
@@ -81,7 +82,7 @@ impl<P: ReplacementPolicy, T> SetAssocCache<P, T> {
             set_mask: sets as u64 - 1,
             tags: vec![INVALID_TAG; sets * ways],
             meta,
-            repl: vec![P::init(ways); sets],
+            repl: vec![LruOrder::new(ways); sets],
             resident: 0,
         })
     }
@@ -153,7 +154,7 @@ impl<P: ReplacementPolicy, T> SetAssocCache<P, T> {
     pub fn access(&mut self, block: BlockAddr) -> Option<&mut T> {
         let set = self.set_index(block);
         let way = self.find_way(set, block.number())?;
-        P::touch(&mut self.repl[set], self.ways, way);
+        self.repl[set].touch(self.ways, way);
         self.meta[set * self.ways + way].as_mut()
     }
 
@@ -174,7 +175,7 @@ impl<P: ReplacementPolicy, T> SetAssocCache<P, T> {
         let set = self.set_index(block);
         let base = set * self.ways;
         if let Some(way) = self.find_way(set, tag) {
-            P::touch(&mut self.repl[set], self.ways, way);
+            self.repl[set].touch(self.ways, way);
             self.meta[base + way] = Some(meta);
             return None;
         }
@@ -185,7 +186,7 @@ impl<P: ReplacementPolicy, T> SetAssocCache<P, T> {
         let (way, evicted) = match empty {
             Some(way) => (way, None),
             None => {
-                let way = P::victim(&mut self.repl[set], self.ways);
+                let way = self.repl[set].victim(self.ways);
                 let old_tag = self.tags[base + way];
                 let old_meta = self.meta[base + way]
                     .take()
@@ -195,7 +196,7 @@ impl<P: ReplacementPolicy, T> SetAssocCache<P, T> {
         };
         self.tags[base + way] = tag;
         self.meta[base + way] = Some(meta);
-        P::touch(&mut self.repl[set], self.ways, way);
+        self.repl[set].touch(self.ways, way);
         if evicted.is_none() {
             self.resident += 1;
         }
@@ -225,16 +226,13 @@ impl<P: ReplacementPolicy, T> SetAssocCache<P, T> {
         for slot in &mut self.meta {
             *slot = None;
         }
-        for state in &mut self.repl {
-            *state = P::init(self.ways);
-        }
+        self.repl.fill(LruOrder::new(self.ways));
         self.resident = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::replacement::{Fifo, Lru};
     use super::*;
 
     fn b(n: u64) -> BlockAddr {
@@ -243,7 +241,7 @@ mod tests {
 
     #[test]
     fn miss_then_fill_then_hit() {
-        let mut c: SetAssocCache<Lru, u32> = SetAssocCache::new(2, 2).unwrap();
+        let mut c: SetAssocCache<u32> = SetAssocCache::new(2, 2).unwrap();
         assert!(c.access(b(5)).is_none());
         assert!(c.insert(b(5), 7).is_none());
         assert_eq!(c.access(b(5)), Some(&mut 7));
@@ -253,7 +251,7 @@ mod tests {
     #[test]
     fn conflicting_blocks_evict_lru_order() {
         // 1 set, 2 ways: blocks all conflict.
-        let mut c: SetAssocCache<Lru, ()> = SetAssocCache::new(1, 2).unwrap();
+        let mut c: SetAssocCache<()> = SetAssocCache::new(1, 2).unwrap();
         c.insert(b(1), ());
         c.insert(b(2), ());
         // Touch 1 so 2 is LRU.
@@ -265,7 +263,7 @@ mod tests {
 
     #[test]
     fn probe_does_not_perturb_replacement() {
-        let mut c: SetAssocCache<Lru, ()> = SetAssocCache::new(1, 2).unwrap();
+        let mut c: SetAssocCache<()> = SetAssocCache::new(1, 2).unwrap();
         c.insert(b(1), ());
         c.insert(b(2), ());
         // Probe (unlike access) must not promote block 1.
@@ -276,7 +274,7 @@ mod tests {
 
     #[test]
     fn reinsert_updates_meta_without_eviction() {
-        let mut c: SetAssocCache<Lru, u32> = SetAssocCache::new(1, 2).unwrap();
+        let mut c: SetAssocCache<u32> = SetAssocCache::new(1, 2).unwrap();
         c.insert(b(1), 10);
         assert!(c.insert(b(1), 20).is_none());
         assert_eq!(c.probe(b(1)), Some(&20));
@@ -285,7 +283,7 @@ mod tests {
 
     #[test]
     fn blocks_map_to_distinct_sets_by_low_bits() {
-        let mut c: SetAssocCache<Lru, ()> = SetAssocCache::new(4, 1).unwrap();
+        let mut c: SetAssocCache<()> = SetAssocCache::new(4, 1).unwrap();
         // Blocks 0..4 map to sets 0..4: no evictions.
         for n in 0..4 {
             assert!(c.insert(b(n), ()).is_none());
@@ -298,7 +296,7 @@ mod tests {
 
     #[test]
     fn invalidate_removes_line() {
-        let mut c: SetAssocCache<Lru, u32> = SetAssocCache::new(2, 2).unwrap();
+        let mut c: SetAssocCache<u32> = SetAssocCache::new(2, 2).unwrap();
         c.insert(b(1), 5);
         assert_eq!(c.invalidate(b(1)), Some(5));
         assert_eq!(c.invalidate(b(1)), None);
@@ -307,7 +305,7 @@ mod tests {
 
     #[test]
     fn invalidated_way_is_refilled_first() {
-        let mut c: SetAssocCache<Lru, u32> = SetAssocCache::new(1, 2).unwrap();
+        let mut c: SetAssocCache<u32> = SetAssocCache::new(1, 2).unwrap();
         c.insert(b(1), 1);
         c.insert(b(2), 2);
         c.invalidate(b(1));
@@ -318,7 +316,7 @@ mod tests {
 
     #[test]
     fn clear_resets_everything() {
-        let mut c: SetAssocCache<Lru, ()> = SetAssocCache::new(2, 2).unwrap();
+        let mut c: SetAssocCache<()> = SetAssocCache::new(2, 2).unwrap();
         for n in 0..4 {
             c.insert(b(n), ());
         }
@@ -330,27 +328,17 @@ mod tests {
     }
 
     #[test]
-    fn fifo_policy_composes() {
-        let mut c: SetAssocCache<Fifo, ()> = SetAssocCache::new(1, 2).unwrap();
-        c.insert(b(1), ());
-        c.insert(b(2), ());
-        c.access(b(1)); // FIFO ignores the hit
-        let evicted = c.insert(b(3), ()).unwrap();
-        assert_eq!(evicted.0, b(1), "FIFO evicts in fill order despite hit");
-    }
-
-    #[test]
     fn rejects_non_power_of_two_sets() {
-        assert!(SetAssocCache::<Lru, ()>::new(3, 2).is_err());
-        assert!(SetAssocCache::<Lru, ()>::new(0, 2).is_err());
-        assert!(SetAssocCache::<Lru, ()>::new(4, 0).is_err());
+        assert!(SetAssocCache::<()>::new(3, 2).is_err());
+        assert!(SetAssocCache::<()>::new(0, 2).is_err());
+        assert!(SetAssocCache::<()>::new(4, 0).is_err());
     }
 
     #[test]
     fn sentinel_block_never_matches_empty_ways() {
         // Block u64::MAX is representable (wrapping block arithmetic);
         // it must not alias the empty-way sentinel on lookups.
-        let mut c: SetAssocCache<Lru, ()> = SetAssocCache::new(2, 2).unwrap();
+        let mut c: SetAssocCache<()> = SetAssocCache::new(2, 2).unwrap();
         let max = BlockAddr::from_number(u64::MAX);
         assert!(!c.contains(max));
         assert!(c.access(max).is_none());
@@ -364,18 +352,17 @@ mod tests {
 
     #[test]
     fn rejects_ways_beyond_policy_limit_as_config_error() {
-        use super::super::replacement::ArrayLru;
         // Packed LRU caps at 16 ways: a wider geometry must surface as a
         // ConfigError from new(), not a panic.
-        assert!(SetAssocCache::<Lru, ()>::new(4, 17).is_err());
-        assert!(SetAssocCache::<ArrayLru, ()>::new(4, 17).is_ok());
-        assert!(SetAssocCache::<ArrayLru, ()>::new(4, 33).is_err());
+        assert!(SetAssocCache::<()>::new(4, 16).is_ok());
+        assert!(SetAssocCache::<()>::new(4, 17).is_err());
+        assert!(SetAssocCache::<()>::new(4, 33).is_err());
     }
 
     #[test]
     fn sixteen_way_set_tracks_full_lru_order() {
         // The packed-LRU word must track all 16 ways (the L2 geometry).
-        let mut c: SetAssocCache<Lru, u32> = SetAssocCache::new(1, 16).unwrap();
+        let mut c: SetAssocCache<u32> = SetAssocCache::new(1, 16).unwrap();
         for n in 0..16 {
             assert!(c.insert(b(n), n as u32).is_none());
         }
@@ -394,7 +381,7 @@ mod tests {
         // Paper Figure 1 (left): 4-block direct-mapped cache, sequences
         // ABCD then RS (R conflicts with A, S conflicts with C), then ABCD
         // again misses only on A and C.
-        let mut c: SetAssocCache<Lru, ()> = SetAssocCache::new(4, 1).unwrap();
+        let mut c: SetAssocCache<()> = SetAssocCache::new(4, 1).unwrap();
         let (a, bb, cc, d) = (b(0), b(1), b(2), b(3));
         let (r, s) = (b(4), b(6)); // set 0 and set 2: conflict with A and C
         let mut miss_seq = Vec::new();
@@ -410,7 +397,6 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    use super::super::replacement::Lru;
     use super::*;
     use proptest::prelude::*;
 
@@ -420,7 +406,7 @@ mod proptests {
         fn inserted_blocks_resident_and_bounded(
             ops in proptest::collection::vec(0u64..64, 1..200),
         ) {
-            let mut c: SetAssocCache<Lru, ()> = SetAssocCache::new(4, 2).unwrap();
+            let mut c: SetAssocCache<()> = SetAssocCache::new(4, 2).unwrap();
             for n in ops {
                 c.insert(BlockAddr::from_number(n), ());
                 prop_assert!(c.contains(BlockAddr::from_number(n)));
@@ -435,7 +421,7 @@ mod proptests {
             ops in proptest::collection::vec(0u64..16, 1..300),
         ) {
             const WAYS: usize = 4;
-            let mut c: SetAssocCache<Lru, ()> = SetAssocCache::new(1, WAYS).unwrap();
+            let mut c: SetAssocCache<()> = SetAssocCache::new(1, WAYS).unwrap();
             let mut recent: Vec<u64> = Vec::new();
             for n in ops {
                 if c.access(BlockAddr::from_number(n)).is_none() {
@@ -457,7 +443,7 @@ mod proptests {
         fn resident_count_is_consistent(
             ops in proptest::collection::vec((0u64..32, proptest::bool::ANY), 1..200),
         ) {
-            let mut c: SetAssocCache<Lru, ()> = SetAssocCache::new(2, 2).unwrap();
+            let mut c: SetAssocCache<()> = SetAssocCache::new(2, 2).unwrap();
             let mut resident = 0i64;
             for (n, invalidate) in ops {
                 let blk = BlockAddr::from_number(n);

@@ -11,9 +11,7 @@
 
 use std::collections::VecDeque;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
+use pif_types::rng::SmallRng;
 use pif_types::{Address, BlockAddr, BranchKind, FetchAccess, RetiredInstr, TrapLevel};
 
 use crate::bpred::{BranchTargetBuffer, DirectionPredictor, HybridPredictor, ReturnAddressStack};

@@ -5,9 +5,9 @@
 //! simulator. This crate rebuilds the parts of that substrate that the
 //! paper's phenomena actually depend on:
 //!
-//! * a **set-associative cache model** ([`cache`]) with pluggable
-//!   replacement, used for the 64 KB 2-way L1-I and the L2 slice — the
-//!   component that *filters and fragments* the miss stream (paper §2.1);
+//! * a **set-associative LRU cache model** ([`cache`]), used for the
+//!   64 KB 2-way L1-I and the L2 slice — the component that *filters and
+//!   fragments* the miss stream (paper §2.1);
 //! * a **branch predictor** ([`bpred`]: 16K gshare + 16K bimodal hybrid,
 //!   BTB, return address stack) driving the **front-end model**
 //!   ([`frontend`]) that injects *wrong-path noise* into the fetch-access

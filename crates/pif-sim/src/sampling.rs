@@ -28,6 +28,7 @@
 
 use std::path::Path;
 
+use pif_types::rng::splitmix64;
 use pif_types::{InstrSource, RetiredInstr};
 
 use crate::config::EngineConfig;
@@ -77,16 +78,6 @@ pub enum WarmStrategy {
     },
 }
 
-impl WarmStrategy {
-    /// Per-window warming with no extra burn-in (the fully independent
-    /// minimum-work strategy).
-    pub fn per_window() -> Self {
-        WarmStrategy::PerWindow {
-            extra_warmup_instrs: 0,
-        }
-    }
-}
-
 /// A sampled-simulation plan: sample count, placement, and the per-sample
 /// functional-warmup and detailed-measurement window lengths (in
 /// instructions).
@@ -102,14 +93,6 @@ pub struct SamplingPlan {
     /// Detailed-measurement instructions per window; clamped at the trace
     /// tail.
     pub measure_instrs: u64,
-    /// Run samples with a checkpoint-warmed L2
-    /// ([`crate::L2Config::assume_warm`]); on by default. The paper's
-    /// SimFlex checkpoints store warmed cache state because an 8 MB NUCA
-    /// cannot be re-warmed inside a sample's warmup window, while the
-    /// small, fast-warming structures (L1-I, branch predictors,
-    /// prefetcher streaming state) are rebuilt by the warmup window
-    /// itself.
-    pub assume_warm_l2: bool,
     /// How predictor tables warm across samples (default
     /// [`WarmStrategy::Continuous`]).
     pub warm_strategy: WarmStrategy,
@@ -130,7 +113,6 @@ impl SamplingPlan {
             selection: SampleSelection::Systematic,
             warmup_instrs,
             measure_instrs,
-            assume_warm_l2: true,
             warm_strategy: WarmStrategy::Continuous,
             burn_in: 0,
         }
@@ -143,7 +125,6 @@ impl SamplingPlan {
             selection: SampleSelection::Random { seed },
             warmup_instrs,
             measure_instrs,
-            assume_warm_l2: true,
             warm_strategy: WarmStrategy::Continuous,
             burn_in: 0,
         }
@@ -155,15 +136,6 @@ impl SamplingPlan {
     pub fn with_burn_in(mut self, burn_in: usize) -> Self {
         self.burn_in = burn_in;
         self
-    }
-
-    /// Returns the plan with per-sample (fully independent) prefetcher
-    /// state instead of continuous predictor warming — shorthand for
-    /// [`SamplingPlan::with_warm_strategy`] of
-    /// [`WarmStrategy::per_window`].
-    #[must_use]
-    pub fn with_per_sample_predictors(self) -> Self {
-        self.with_warm_strategy(WarmStrategy::per_window())
     }
 
     /// Returns the plan with the given [`WarmStrategy`].
@@ -193,22 +165,16 @@ impl SamplingPlan {
         }
     }
 
-    /// Returns the plan with cold-structure semantics (no warm-L2
-    /// assumption) — for bias studies against the checkpoint-warmed
-    /// default.
-    #[must_use]
-    pub fn with_cold_l2(mut self) -> Self {
-        self.assume_warm_l2 = false;
-        self
-    }
-
     /// The engine configuration a sampled run actually uses: `config`
-    /// plus this plan's warm-L2 assumption.
+    /// with a checkpoint-warmed L2 ([`crate::L2Config::assume_warm`]).
+    /// The paper's SimFlex checkpoints store warmed cache state because
+    /// an 8 MB NUCA cannot be re-warmed inside a sample's warmup window,
+    /// while the small, fast-warming structures (L1-I, branch predictors,
+    /// prefetcher streaming state) are rebuilt by the warmup window
+    /// itself.
     pub fn engine_config(&self, config: &EngineConfig) -> EngineConfig {
         let mut cfg = *config;
-        if self.assume_warm_l2 {
-            cfg.l2 = cfg.l2.with_assume_warm(true);
-        }
+        cfg.l2 = cfg.l2.with_assume_warm(true);
         cfg
     }
 
@@ -263,17 +229,6 @@ impl SamplingPlan {
             })
             .collect()
     }
-}
-
-/// SplitMix64: a tiny, high-quality deterministic stream for window
-/// placement (no dependency on the `rand` shim, so plans are stable even
-/// if the workspace RNG changes).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// One resolved sample window, in record indices of the underlying trace.
@@ -881,7 +836,9 @@ mod tests {
     fn assemble_report_is_order_independent() {
         let trace = looped_trace(40_000, 512);
         let plan = SamplingPlan::systematic(5, 1_000, 800)
-            .with_warm_strategy(WarmStrategy::per_window())
+            .with_warm_strategy(WarmStrategy::PerWindow {
+                extra_warmup_instrs: 0,
+            })
             .with_burn_in(2);
         let config = EngineConfig::paper_default();
         let serial = run_sampled(

@@ -1,4 +1,5 @@
-//! Shared format constants and the per-record v2 codec.
+//! Shared format constants, the per-record v2 codec and the test-only
+//! v1 encoder.
 //!
 //! See the crate-level docs for the full v1/v2 layout specification. This
 //! module owns the byte-level details both the writer and reader use, so
@@ -30,6 +31,9 @@ pub const MAX_CHUNK_BYTES: u32 = 1 << 26;
 
 /// Cap on the declared workload-name length in either version's header.
 pub const MAX_NAME_LEN: u32 = 1 << 16;
+
+/// Smallest v1 record (a non-branch): pc, trap level, branch flag.
+pub(crate) const V1_MIN_RECORD_BYTES: u64 = 10;
 
 // v2 record flag byte layout.
 const TL_MASK: u8 = 0b0000_0011;
@@ -67,6 +71,33 @@ pub(crate) fn kind_from_bits(b: u8) -> Result<BranchKind, TraceDecodeError> {
         4 => BranchKind::Return,
         _ => return Err(TraceDecodeError::Corrupt("unknown branch kind")),
     })
+}
+
+/// Encodes `instrs` as an in-memory legacy v1 trace (layout in the
+/// crate-level docs). Nothing writes v1 files any more; this exists so
+/// tests can hold the readers' v1 support to the format.
+pub fn encode_v1(name: &str, instrs: &[RetiredInstr]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION_V1.to_le_bytes());
+    buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
+    buf.extend_from_slice(name.as_bytes());
+    buf.extend_from_slice(&(instrs.len() as u64).to_le_bytes());
+    for instr in instrs {
+        buf.extend_from_slice(&instr.pc.raw().to_le_bytes());
+        buf.push(instr.trap_level.index() as u8);
+        match instr.branch {
+            None => buf.push(0),
+            Some(info) => {
+                buf.push(1);
+                buf.push(kind_to_bits(info.kind));
+                buf.push(u8::from(info.taken));
+                buf.extend_from_slice(&info.taken_target.raw().to_le_bytes());
+                buf.extend_from_slice(&info.fall_through.raw().to_le_bytes());
+            }
+        }
+    }
+    buf
 }
 
 /// Appends one v2 record to `buf`. `prev_pc` is the intra-chunk delta

@@ -23,28 +23,9 @@
 //! (record count) is folded in by [`TraceHasher::finish`] so a stream is
 //! never a hash-prefix of a longer one.
 
+use pif_types::rng::FNV1A_64_OFFSET;
+pub use pif_types::rng::{fnv1a_64, fnv1a_64_once};
 use pif_types::{BranchKind, RetiredInstr};
-
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Folds `bytes` into an FNV-1a 64 accumulator.
-#[inline]
-pub fn fnv1a_64(mut acc: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        acc ^= u64::from(b);
-        acc = acc.wrapping_mul(FNV_PRIME);
-    }
-    acc
-}
-
-/// One-shot FNV-1a 64 of a byte string, from the standard offset basis.
-#[inline]
-pub fn fnv1a_64_once(bytes: &[u8]) -> u64 {
-    fnv1a_64(FNV_OFFSET, bytes)
-}
 
 /// Streaming content hasher over retired-instruction records.
 ///
@@ -68,7 +49,7 @@ impl TraceHasher {
     /// A fresh hasher at the FNV offset basis.
     pub fn new() -> Self {
         TraceHasher {
-            acc: FNV_OFFSET,
+            acc: FNV1A_64_OFFSET,
             records: 0,
         }
     }

@@ -4,8 +4,8 @@
 //! this crate makes traces of that scale first-class artifacts. It defines
 //! the chunked, delta/varint-compressed **v2** format, streaming
 //! [`TraceWriter`]/[`TraceReader`] endpoints that hold at most one chunk
-//! in memory, and backward-compatible decoding of the legacy **v1** files
-//! written by `pif_workloads::io::encode_trace`.
+//! in memory, and read-only decoding of legacy **v1** files (nothing
+//! writes v1 any more; `tracectl convert` upgrades them to v2).
 //!
 //! # Format specification
 //!
@@ -131,12 +131,13 @@ pub use reader::{
 };
 pub use writer::{AtomicTraceWriter, TraceWriter};
 
-/// v2 codec internals, exposed for differential tests
-/// (`tests/decode_batched.rs`) that hold the batched chunk decode equal
-/// to a record-at-a-time reference decode. Not a stable API.
+/// Codec internals, exposed for tests: the v2 record codec, which
+/// differential tests (`tests/decode_batched.rs`) hold equal to the
+/// batched chunk decode, and the v1 encoder that builds legacy inputs.
+/// Not a stable API.
 #[doc(hidden)]
 pub mod codec {
-    pub use crate::format::{decode_chunk, decode_record, encode_record};
+    pub use crate::format::{decode_chunk, decode_record, encode_record, encode_v1};
 }
 
 #[cfg(test)]
@@ -363,41 +364,9 @@ mod seek_tests {
     use std::io::Cursor;
 
     use super::*;
+    use crate::codec::encode_v1;
     use crate::tests::branchy_trace;
     use pif_types::RetiredInstr;
-
-    /// Hand-rolled v1 encoder (the legacy writer lives in
-    /// `pif_workloads::io`, which this crate cannot depend on); layout
-    /// from the crate-level spec.
-    pub(crate) fn encode_v1(name: &str, instrs: &[RetiredInstr]) -> Vec<u8> {
-        let mut b = Vec::new();
-        b.extend_from_slice(MAGIC);
-        b.extend_from_slice(&VERSION_V1.to_le_bytes());
-        b.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        b.extend_from_slice(name.as_bytes());
-        b.extend_from_slice(&(instrs.len() as u64).to_le_bytes());
-        for i in instrs {
-            b.extend_from_slice(&i.pc.raw().to_le_bytes());
-            b.push(i.trap_level.index() as u8);
-            match i.branch {
-                None => b.push(0),
-                Some(info) => {
-                    b.push(1);
-                    b.push(match info.kind {
-                        pif_types::BranchKind::Conditional => 0,
-                        pif_types::BranchKind::Direct => 1,
-                        pif_types::BranchKind::Call => 2,
-                        pif_types::BranchKind::IndirectCall => 3,
-                        pif_types::BranchKind::Return => 4,
-                    });
-                    b.push(info.taken as u8);
-                    b.extend_from_slice(&info.taken_target.raw().to_le_bytes());
-                    b.extend_from_slice(&info.fall_through.raw().to_le_bytes());
-                }
-            }
-        }
-        b
-    }
 
     fn collect_rest<R: std::io::Read>(reader: &mut TraceReader<R>) -> Vec<RetiredInstr> {
         reader
@@ -685,7 +654,7 @@ mod proptests {
             instrs in proptest::collection::vec(instr_strategy(), 0..200),
             seek_seed in 0usize..4096,
         ) {
-            let bytes = crate::seek_tests::encode_v1("v1p", &instrs);
+            let bytes = codec::encode_v1("v1p", &instrs);
             let n = seek_seed % (instrs.len() + 2);
             let mut reader = TraceReader::open(std::io::Cursor::new(&bytes)).unwrap();
             if n <= instrs.len() {

@@ -10,7 +10,7 @@ use pif_types::{Address, BranchInfo, RetiredInstr, TrapLevel};
 use crate::error::TraceDecodeError;
 use crate::format::{
     decode_chunk, kind_from_bits, MAGIC, MAX_CHUNK_BYTES, MAX_CHUNK_RECORDS, MAX_NAME_LEN,
-    VERSION_V1, VERSION_V2,
+    V1_MIN_RECORD_BYTES, VERSION_V1, VERSION_V2,
 };
 
 fn read_u32<R: Read>(r: &mut R) -> Result<u32, TraceDecodeError> {
@@ -803,16 +803,28 @@ pub fn encode_v2(name: &str, instrs: &[RetiredInstr]) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Any decode error; unlike the streaming path this materializes the
-/// whole trace, so prefer [`TraceReader`] for large files.
+/// Any decode error, and `Corrupt("record count exceeds payload")` up
+/// front for a v1 header declaring more records than the input can hold.
+/// Unlike the streaming path this materializes the whole trace, so
+/// prefer [`TraceReader`] for large files.
 pub fn decode(data: &[u8]) -> Result<(String, Vec<RetiredInstr>), TraceDecodeError> {
     let mut reader = TraceReader::open(data)?;
-    // A v1 header's count is untrusted; every v1 record costs at least
-    // 10 bytes, so the input length bounds any sane preallocation (the
-    // same fail-fast reasoning as decode_trace's count check).
-    let plausible = (data.len() / 10) as u64;
-    let mut instrs =
-        Vec::with_capacity(reader.declared_count().unwrap_or(0).min(plausible) as usize);
+    let mut capacity = 0;
+    if let Some(count) = reader.declared_count() {
+        // A v1 header's count is untrusted. Every v1 record costs at
+        // least 10 bytes, so a count the rest of the input cannot hold is
+        // corrupt on its face: fail before decoding or allocating, instead
+        // of looping toward a truncation error millions of records later.
+        let payload = data.len() as u64 - reader.data_start;
+        if count
+            .checked_mul(V1_MIN_RECORD_BYTES)
+            .is_none_or(|needed| needed > payload)
+        {
+            return Err(TraceDecodeError::Corrupt("record count exceeds payload"));
+        }
+        capacity = count as usize;
+    }
+    let mut instrs = Vec::with_capacity(capacity);
     for result in reader.by_ref() {
         instrs.push(result?);
     }

@@ -11,8 +11,8 @@
 //! path to `decode_record` record for record and error for error, on
 //! valid and malformed payloads alike.
 
-use pif_trace::codec::{decode_chunk, decode_record, encode_record};
-use pif_trace::{TraceDecodeError, TraceReader, TraceWriter, MAGIC, VERSION_V1};
+use pif_trace::codec::{decode_chunk, decode_record, encode_record, encode_v1};
+use pif_trace::{TraceDecodeError, TraceReader, TraceWriter, MAGIC};
 use pif_types::{Address, BranchInfo, BranchKind, RetiredInstr, TrapLevel};
 use proptest::prelude::*;
 
@@ -48,38 +48,6 @@ fn encode(instrs: &[RetiredInstr], chunk: u32) -> Vec<u8> {
     let mut w = TraceWriter::with_chunk_records(Vec::new(), "diff", chunk).unwrap();
     w.extend(instrs.iter().copied()).unwrap();
     w.finish().unwrap()
-}
-
-/// Hand-rolled v1 encoder, layout from the crate-level format spec (the
-/// production v1 writer lives in `pif_workloads`, outside this crate).
-fn encode_v1(instrs: &[RetiredInstr]) -> Vec<u8> {
-    let mut b = Vec::new();
-    b.extend_from_slice(MAGIC);
-    b.extend_from_slice(&VERSION_V1.to_le_bytes());
-    b.extend_from_slice(&2u32.to_le_bytes());
-    b.extend_from_slice(b"v1");
-    b.extend_from_slice(&(instrs.len() as u64).to_le_bytes());
-    for i in instrs {
-        b.extend_from_slice(&i.pc.raw().to_le_bytes());
-        b.push(i.trap_level.index() as u8);
-        match i.branch {
-            None => b.push(0),
-            Some(info) => {
-                b.push(1);
-                b.push(match info.kind {
-                    BranchKind::Conditional => 0,
-                    BranchKind::Direct => 1,
-                    BranchKind::Call => 2,
-                    BranchKind::IndirectCall => 3,
-                    BranchKind::Return => 4,
-                });
-                b.push(info.taken as u8);
-                b.extend_from_slice(&info.taken_target.raw().to_le_bytes());
-                b.extend_from_slice(&info.fall_through.raw().to_le_bytes());
-            }
-        }
-    }
-    b
 }
 
 fn read_u32(data: &mut &[u8]) -> Result<u32, ()> {
@@ -234,7 +202,7 @@ proptest! {
         instrs in proptest::collection::vec(instr_strategy(), 0..150),
         cut_seed in 0usize..4096,
     ) {
-        let bytes = encode_v1(&instrs);
+        let bytes = encode_v1("v1", &instrs);
         let (full, err) = stream(&bytes);
         prop_assert!(err.is_none());
         prop_assert_eq!(&full, &instrs);

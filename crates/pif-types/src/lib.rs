@@ -17,6 +17,8 @@
 //!   of a group of spatially-close instruction blocks (paper §3, §4.1).
 //! * [`InstrSource`] — a pull-based stream of retired instructions, the
 //!   abstraction that lets the engine simulate traces larger than RAM.
+//! * [`rng`] — the seeded [`rng::SmallRng`] behind every synthetic trace,
+//!   plus the SplitMix64 step and the FNV-1a 64 hash.
 //!
 //! # Example
 //!
@@ -36,6 +38,7 @@ mod address;
 mod error;
 mod record;
 mod region;
+pub mod rng;
 mod source;
 mod trap;
 

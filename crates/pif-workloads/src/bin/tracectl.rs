@@ -1,7 +1,7 @@
 //! `tracectl` — record, inspect, convert, and preview PIF trace files.
 //!
 //! ```text
-//! tracectl record <workload> <out.pift> [-n N] [--scale F] [--seed-offset K] [--chunk N] [--v1]
+//! tracectl record <workload> <out.pift> [-n N] [--scale F] [--seed-offset K] [--chunk N]
 //! tracectl record-elf <binary> <out.pift> [-n N] [--seed S] [--interrupts MEAN]
 //! tracectl record-corpus <bin-dir> <out-dir> [-n N] [--seed S]
 //! tracectl gen-elf <out>
@@ -19,30 +19,29 @@
 //! deterministic hand-assembled demo ELF that CI goldens are gated on.
 //!
 //! `record` streams a synthetic workload straight into a compressed v2
-//! trace (bounded memory, any length); `--v1` writes the legacy format
-//! instead (materializes the trace — for fixtures and compatibility
-//! testing). Both `record` and `convert` write through a temp file that
-//! is fsynced and atomically renamed over the destination, so a killed
-//! run leaves either no output file or a fully valid trace — never a
-//! torn one. `info` reads only headers and chunk frames; `--chunks`
-//! additionally prints the per-chunk random-access table (the index
-//! sampled simulation seeks with). `convert` upgrades v1 files to v2 (or
-//! re-chunks v2 files) as a stream. `head` prints the first records. `hash`
+//! trace (bounded memory, any length). Both `record` and `convert` write
+//! through a temp file that is fsynced and atomically renamed over the
+//! destination, so a killed run leaves either no output file or a fully
+//! valid trace — never a torn one. `info` reads only headers and chunk
+//! frames; `--chunks` additionally prints the per-chunk random-access
+//! table (the index sampled simulation seeks with). `convert` upgrades
+//! legacy v1 files, which nothing writes any more, to v2 (or re-chunks
+//! v2 files) as a stream. `head` prints the first records. `hash`
 //! prints the container-independent content hash (`pif-trace`'s FNV-1a 64
 //! canonical record digest) — the trace half of `pif-lab`'s result-cache
 //! key; a v1 file and its v2 conversion print the same digest.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::BufReader;
 use std::process::ExitCode;
 
 use pif_trace::{scan_info, AtomicTraceWriter, TraceReader, DEFAULT_CHUNK_RECORDS};
-use pif_workloads::{io::write_trace, WorkloadProfile};
+use pif_workloads::WorkloadProfile;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  \
-         tracectl record <workload> <out.pift> [-n N] [--scale F] [--seed-offset K] [--chunk N] [--v1]\n  \
+         tracectl record <workload> <out.pift> [-n N] [--scale F] [--seed-offset K] [--chunk N]\n  \
          tracectl record-elf <binary> <out.pift> [-n N] [--seed S] [--interrupts MEAN]\n  \
          tracectl record-corpus <bin-dir> <out-dir> [-n N] [--seed S]\n  \
          tracectl gen-elf <out>\n  \
@@ -79,7 +78,6 @@ struct Opts {
     /// Mean TL1 interrupt interval for `record-elf` (0 = off).
     interrupts: u64,
     chunk: u32,
-    v1: bool,
     chunks: bool,
 }
 
@@ -92,7 +90,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         seed: 0,
         interrupts: 0,
         chunk: DEFAULT_CHUNK_RECORDS,
-        v1: false,
         chunks: false,
     };
     let mut it = args.iter();
@@ -119,7 +116,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                     .map_err(|e| format!("--interrupts: {e}"))?;
             }
             "--chunk" => opts.chunk = value(arg)?.parse().map_err(|e| format!("--chunk: {e}"))?,
-            "--v1" => opts.v1 = true,
             "--chunks" => opts.chunks = true,
             other if other.starts_with('-') => return Err(format!("unknown option {other}")),
             other => opts.positional.push(other.to_string()),
@@ -135,25 +131,6 @@ fn find_workload(name: &str) -> Option<WorkloadProfile> {
         .find(|w| w.name().to_lowercase() == canonical)
 }
 
-/// Writes a materialized v1 trace through a temp file, fsyncs, and
-/// renames it over `out`: a kill mid-write leaves no torn destination.
-fn write_v1_atomically(out: &str, trace: &pif_workloads::Trace) -> std::io::Result<()> {
-    let tmp = format!("{out}.tmp.{}", std::process::id());
-    let publish = (|| {
-        let file = File::create(&tmp)?;
-        let mut writer = BufWriter::new(file);
-        write_trace(&mut writer, trace)?;
-        use std::io::Write as _;
-        writer.flush()?;
-        writer.get_ref().sync_all()?;
-        std::fs::rename(&tmp, out)
-    })();
-    if publish.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    publish
-}
-
 fn record(opts: &Opts) -> ExitCode {
     let [name, out] = opts.positional.as_slice() else {
         return usage();
@@ -166,44 +143,30 @@ fn record(opts: &Opts) -> ExitCode {
     } else {
         profile
     };
-    let records;
-    if opts.v1 {
-        // Legacy format: no streaming writer exists, materialize — then
-        // publish with the same fsync + rename dance the v2 path gets
-        // from AtomicTraceWriter.
-        let trace = profile
-            .generate_with_execution_seed(opts.instructions.unwrap_or(1_000_000), opts.seed_offset);
-        records = trace.len() as u64;
-        if let Err(e) = write_v1_atomically(out, &trace) {
-            return fail(out, e);
-        }
-    } else {
-        let mut writer = match AtomicTraceWriter::create(out, profile.name(), opts.chunk) {
-            Ok(w) => w,
-            Err(e) => return fail(out, e),
-        };
-        let mut io_err = None;
-        let n = opts.instructions.unwrap_or(1_000_000);
-        profile.generate_with_execution_seed_into(n, opts.seed_offset, |instr| {
-            if io_err.is_none() {
-                if let Err(e) = writer.push(&instr) {
-                    io_err = Some(e);
-                }
+    let mut writer = match AtomicTraceWriter::create(out, profile.name(), opts.chunk) {
+        Ok(w) => w,
+        Err(e) => return fail(out, e),
+    };
+    let mut io_err = None;
+    let n = opts.instructions.unwrap_or(1_000_000);
+    profile.generate_with_execution_seed_into(n, opts.seed_offset, |instr| {
+        if io_err.is_none() {
+            if let Err(e) = writer.push(&instr) {
+                io_err = Some(e);
             }
-        });
-        if let Some(e) = io_err {
-            return fail(out, e);
         }
-        records = writer.records_written();
-        if let Err(e) = writer.finish() {
-            return fail(out, e);
-        }
+    });
+    if let Some(e) = io_err {
+        return fail(out, e);
+    }
+    let records = writer.records_written();
+    if let Err(e) = writer.finish() {
+        return fail(out, e);
     }
     let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
     println!(
-        "recorded {} v{} · {} records · {} bytes · {:.2} bytes/record → {}",
+        "recorded {} v2 · {} records · {} bytes · {:.2} bytes/record → {}",
         profile.name(),
-        if opts.v1 { 1 } else { 2 },
         records,
         bytes,
         bytes as f64 / records.max(1) as f64,

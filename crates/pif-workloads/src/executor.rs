@@ -3,9 +3,7 @@
 //! loop iterations, conditional skips, calls/returns, and spontaneous
 //! trap-level-1 interrupt handler invocations.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
+use pif_types::rng::SmallRng;
 use pif_types::{Address, BranchInfo, BranchKind, RetiredInstr, TrapLevel};
 
 use crate::params::GeneratorParams;
@@ -297,7 +295,7 @@ impl<F: FnMut(RetiredInstr)> Walk<'_, F> {
                             let trips = if self.rng.gen_bool(1.0 - self.params.loop_trip_jitter) {
                                 *base_trips
                             } else {
-                                let jitter = self.rng.gen_range(0..=4) as i64 - 2;
+                                let jitter = i64::from(self.rng.gen_range(0..=4u32)) - 2;
                                 base_trips.saturating_add_signed(jitter).max(1)
                             };
                             loops.push((idx, trips));
@@ -334,7 +332,7 @@ fn geometric(rng: &mut SmallRng, mean: f64) -> u64 {
         return 1;
     }
     let p = 1.0 / mean;
-    let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
+    let u = rng.next_f64().max(f64::MIN_POSITIVE);
     (1.0 + u.ln() / (1.0 - p).ln()).floor().max(1.0) as u64
 }
 

@@ -40,7 +40,6 @@
 
 pub mod corpus;
 mod executor;
-pub mod io;
 mod params;
 mod profiles;
 mod program;
@@ -53,3 +52,179 @@ pub use profiles::{WorkloadClass, WorkloadProfile};
 pub use program::{CallGraphStats, FunctionLayout, ProgramImage, Site};
 pub use stream::TraceStream;
 pub use trace::{Trace, TraceStats};
+
+// Legacy v1 traces of generated workloads, through the one v1 codec:
+// decoded by `pif_trace::decode` and `TraceReader`, built for tests by
+// `pif_trace::codec::encode_v1`.
+#[cfg(test)]
+mod io {
+    use pif_trace::codec::encode_v1;
+    use pif_trace::{decode, TraceDecodeError, TraceReader, MAGIC};
+    use pif_types::{Address, BranchInfo, BranchKind, RetiredInstr, TrapLevel};
+
+    use crate::{Trace, WorkloadProfile};
+
+    fn encode_trace(trace: &Trace) -> Vec<u8> {
+        encode_v1(trace.name(), trace.instrs())
+    }
+
+    fn decode_trace(data: &[u8]) -> Result<Trace, TraceDecodeError> {
+        decode(data).map(|(name, instrs)| Trace::new(name, instrs))
+    }
+
+    mod tests {
+        use super::*;
+
+        fn sample() -> Trace {
+            WorkloadProfile::web_zeus().scaled(0.05).generate(3_000)
+        }
+
+        #[test]
+        fn round_trip_preserves_everything() {
+            let t = sample();
+            let bytes = encode_trace(&t);
+            let back = decode_trace(&bytes).unwrap();
+            assert_eq!(t, back);
+        }
+
+        #[test]
+        fn io_round_trip() {
+            // Streamed from any `Read` source.
+            let t = sample();
+            let buf = encode_trace(&t);
+            let reader = TraceReader::open(buf.as_slice()).unwrap();
+            let name = reader.name().to_string();
+            let instrs = reader.collect::<Result<Vec<_>, _>>().unwrap();
+            assert_eq!(t, Trace::new(name, instrs));
+        }
+
+        #[test]
+        fn rejects_bad_magic() {
+            // TraceDecodeError compares structurally, so no `matches!`
+            // boilerplate.
+            assert_eq!(
+                decode_trace(b"NOPE\x01\x00\x00\x00").err(),
+                Some(TraceDecodeError::BadMagic)
+            );
+        }
+
+        #[test]
+        fn rejects_bad_version() {
+            let mut data = Vec::new();
+            data.extend_from_slice(MAGIC);
+            data.extend_from_slice(&99u32.to_le_bytes());
+            assert_eq!(
+                decode_trace(&data).err(),
+                Some(TraceDecodeError::BadVersion(99))
+            );
+        }
+
+        #[test]
+        fn absurd_record_count_fails_fast() {
+            // A header declaring u64::MAX records over an empty payload
+            // must be rejected before any decode loop or allocation.
+            let t = Trace::new("x", vec![]);
+            let mut bytes = encode_trace(&t);
+            let count_offset = bytes.len() - 8;
+            bytes[count_offset..].copy_from_slice(&u64::MAX.to_le_bytes());
+            assert_eq!(
+                decode_trace(&bytes).err(),
+                Some(TraceDecodeError::Corrupt("record count exceeds payload"))
+            );
+            // Off-by-one: one declared record, zero payload bytes.
+            bytes[count_offset..].copy_from_slice(&1u64.to_le_bytes());
+            assert_eq!(
+                decode_trace(&bytes).err(),
+                Some(TraceDecodeError::Corrupt("record count exceeds payload"))
+            );
+        }
+
+        #[test]
+        fn rejects_truncation_anywhere() {
+            let bytes = encode_trace(&sample());
+            // Chop the payload at several points: every prefix must fail
+            // cleanly, never panic.
+            for cut in [0, 3, 8, 11, 20, bytes.len() / 2, bytes.len() - 1] {
+                assert!(
+                    decode_trace(&bytes[..cut]).is_err(),
+                    "prefix of {cut} bytes decoded successfully"
+                );
+            }
+        }
+
+        #[test]
+        fn rejects_corrupt_trap_level() {
+            let t = Trace::new(
+                "x",
+                vec![RetiredInstr::simple(Address::new(4), TrapLevel::Tl0)],
+            );
+            let mut bytes = encode_trace(&t);
+            // The trap-level byte of the first record sits after the header.
+            let tl_offset = 4 + 4 + 4 + 1 + 8 + 8;
+            bytes[tl_offset] = 9;
+            assert!(decode_trace(&bytes).is_err());
+        }
+
+        #[test]
+        fn empty_trace_round_trips() {
+            let t = Trace::new("empty", vec![]);
+            assert_eq!(decode_trace(&encode_trace(&t)).unwrap(), t);
+        }
+
+        #[test]
+        fn error_display_is_informative() {
+            let e = TraceDecodeError::BadVersion(7);
+            assert!(e.to_string().contains('7'));
+            let e = TraceDecodeError::Corrupt("truncated");
+            assert!(e.to_string().contains("truncated"));
+        }
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        const KINDS: [BranchKind; 5] = [
+            BranchKind::Conditional,
+            BranchKind::Direct,
+            BranchKind::Call,
+            BranchKind::IndirectCall,
+            BranchKind::Return,
+        ];
+
+        fn instr_strategy() -> impl Strategy<Value = RetiredInstr> {
+            (
+                any::<u64>(),
+                0usize..TrapLevel::COUNT,
+                proptest::option::of((0usize..5, any::<bool>(), any::<u64>(), any::<u64>())),
+            )
+                .prop_map(|(pc, tl, branch)| RetiredInstr {
+                    pc: Address::new(pc),
+                    trap_level: TrapLevel::from_index(tl),
+                    branch: branch.map(|(k, taken, target, fall)| BranchInfo {
+                        kind: KINDS[k],
+                        taken,
+                        taken_target: Address::new(target),
+                        fall_through: Address::new(fall),
+                    }),
+                })
+        }
+
+        proptest! {
+            #[test]
+            fn arbitrary_traces_round_trip(
+                name in "[a-zA-Z0-9_-]{0,24}",
+                instrs in proptest::collection::vec(instr_strategy(), 0..200),
+            ) {
+                let t = Trace::new(name, instrs);
+                let back = decode_trace(&encode_trace(&t)).unwrap();
+                prop_assert_eq!(t, back);
+            }
+
+            #[test]
+            fn random_bytes_never_panic(data in proptest::collection::vec(any::<u8>(), 0..256)) {
+                let _ = decode_trace(&data);
+            }
+        }
+    }
+}

@@ -3,9 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
+use pif_types::rng::SmallRng;
 use pif_types::{Address, ConfigError};
 
 use crate::params::GeneratorParams;
@@ -314,7 +312,7 @@ impl ZipfCdf {
 }
 
 fn sample_cdf(cdf: &[f64], rng: &mut SmallRng) -> usize {
-    let u: f64 = rng.gen();
+    let u = rng.next_f64();
     match cdf.binary_search_by(|c| c.partial_cmp(&u).unwrap()) {
         Ok(i) => i,
         Err(i) => i.min(cdf.len() - 1),
@@ -328,7 +326,7 @@ fn gen_geometric(rng: &mut SmallRng, mean: f64) -> u64 {
         return 1;
     }
     let p = 1.0 / mean;
-    let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
+    let u = rng.next_f64().max(f64::MIN_POSITIVE);
     (1.0 + u.ln() / (1.0 - p).ln()).floor().max(1.0) as u64
 }
 
@@ -361,7 +359,7 @@ fn gen_sites(
     let mut loop_frontier = 1u32;
     // Reserve the last slot for the return and one before it for slack.
     while idx < instrs - 2 {
-        let r: f64 = rng.gen();
+        let r = rng.next_f64();
         let self_layer = layer_of[self_id];
         if r < params.call_density && self_layer + 1 < layers {
             // Callees must live in strictly deeper layers; Zipf sampling
@@ -377,7 +375,7 @@ fn gen_sites(
                 None
             };
             let indirect = rng.gen_bool(params.indirect_fraction);
-            let count = if indirect { rng.gen_range(2..=4) } else { 1 };
+            let count = if indirect { rng.gen_range(2..=4u32) } else { 1 };
             let mut callees = Vec::new();
             for _ in 0..count {
                 if let Some(c) = pick(rng) {

@@ -8,7 +8,7 @@
 //!
 //! Usage: `cargo run --example fig1`
 
-use pif_sim::cache::{Lru, SetAssocCache};
+use pif_sim::cache::SetAssocCache;
 use pif_sim::frontend::{FrontEnd, FrontendEvent};
 use pif_sim::FrontendConfig;
 use pif_types::{Address, BlockAddr, BranchInfo, BranchKind, RetiredInstr, TrapLevel};
@@ -24,7 +24,7 @@ fn left_panel() {
     println!("Figure 1 (left) — the instruction cache fragments access sequences");
     println!("4-block direct-mapped cache; access sequence: A B C D | R S | A B C D\n");
 
-    let mut cache: SetAssocCache<Lru, ()> = SetAssocCache::new(4, 1).unwrap();
+    let mut cache: SetAssocCache<()> = SetAssocCache::new(4, 1).unwrap();
     let blocks: &[(&str, u64)] = &[
         ("A", 0),
         ("B", 1),

@@ -10,8 +10,10 @@
 //!
 //! This facade crate re-exports the member crates under stable names:
 //!
-//! * [`types`] — addresses, blocks, spatial regions, trace records.
-//! * [`trace`] — streaming, compressed trace files (v2) and v1 compat.
+//! * [`types`] — addresses, blocks, spatial regions, trace records, and
+//!   the seeded RNG and hashes every trace and cache key depends on.
+//! * [`trace`] — streaming, compressed trace files (v2); legacy v1 files
+//!   are read-only.
 //! * [`sim`] — caches, branch predictors, the front-end model, the
 //!   simulation engine and timing model.
 //! * [`workloads`] — the six synthetic server workload profiles.

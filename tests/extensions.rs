@@ -8,13 +8,13 @@ use pif_core::shared::{SharedPif, SharedPifStorage};
 use pif_core::{Pif, PifConfig};
 use pif_sim::multicore::run_cmp;
 use pif_sim::{Engine, EngineConfig, NoPrefetcher, RunOptions};
-use pif_workloads::{io, WorkloadProfile};
+use pif_workloads::WorkloadProfile;
 
 #[test]
 fn serialized_traces_drive_identical_simulations() {
     let trace = WorkloadProfile::oltp_oracle().scaled(0.2).generate(100_000);
-    let bytes = io::encode_trace(&trace);
-    let restored = io::decode_trace(&bytes).expect("round trip");
+    let bytes = pif_trace::encode_v2(trace.name(), trace.instrs());
+    let (_, restored) = pif_trace::decode(&bytes).expect("round trip");
     let engine = Engine::new(EngineConfig::paper_default());
     let a = engine.run(
         trace.instrs().iter().copied(),
@@ -22,7 +22,7 @@ fn serialized_traces_drive_identical_simulations() {
         RunOptions::new(),
     );
     let b = engine.run(
-        restored.instrs().iter().copied(),
+        restored.iter().copied(),
         Pif::new(PifConfig::paper_default()),
         RunOptions::new(),
     );

@@ -10,9 +10,8 @@
 use std::io::{BufReader, BufWriter};
 
 use pif_repro::prelude::*;
-use pif_repro::trace::{scan_info, TraceDecodeError};
-use pif_repro::workloads::io::{decode_trace, encode_trace};
-use pif_repro::workloads::Trace;
+use pif_repro::trace::codec::encode_v1;
+use pif_repro::trace::{decode, scan_info, TraceDecodeError};
 use pif_types::{BranchInfo, BranchKind};
 
 fn golden_instrs() -> Vec<RetiredInstr> {
@@ -75,14 +74,11 @@ const GOLDEN_V2_BYTES: &[u8] = &[
 #[test]
 fn golden_v1_fixture_still_decodes_everywhere() {
     let bytes = golden_v1_bytes();
-    let expected = Trace::new("golden", golden_instrs());
 
-    // The legacy slice decoder.
-    assert_eq!(decode_trace(&bytes).unwrap(), expected);
-    // The v1 encoder still produces exactly this layout.
-    assert_eq!(encode_trace(&expected), bytes);
-    // The new streaming reader handles v1 transparently.
-    let (name, instrs) = pif_repro::trace::decode(&bytes).unwrap();
+    // The test-side v1 encoder still produces exactly this layout.
+    assert_eq!(encode_v1("golden", &golden_instrs()), bytes);
+    // The slice decoder and the streaming reader handle v1 transparently.
+    let (name, instrs) = decode(&bytes).unwrap();
     assert_eq!(name, "golden");
     assert_eq!(instrs, golden_instrs());
     let mut reader = TraceReader::open(bytes.as_slice()).unwrap();
@@ -101,7 +97,7 @@ fn golden_v2_fixture_is_byte_stable() {
         GOLDEN_V2_BYTES,
         "v2 byte layout changed — archived traces would stop decoding"
     );
-    let (name, instrs) = pif_repro::trace::decode(GOLDEN_V2_BYTES).unwrap();
+    let (name, instrs) = decode(GOLDEN_V2_BYTES).unwrap();
     assert_eq!(name, "golden");
     assert_eq!(instrs, golden_instrs());
     let info = scan_info(GOLDEN_V2_BYTES).unwrap();
@@ -112,7 +108,7 @@ fn golden_v2_fixture_is_byte_stable() {
 #[test]
 fn generated_v1_traces_decode_via_streaming_reader() {
     let trace = WorkloadProfile::dss_qry17().scaled(0.05).generate(20_000);
-    let v1 = encode_trace(&trace);
+    let v1 = encode_v1(trace.name(), trace.instrs());
     let mut source = TraceReader::open(v1.as_slice()).unwrap().instrs();
     let streamed: Vec<_> = source.by_ref().collect();
     assert!(source.error().is_none());
@@ -122,7 +118,7 @@ fn generated_v1_traces_decode_via_streaming_reader() {
 #[test]
 fn v2_is_at_least_2x_smaller_than_v1_on_oltp_db2() {
     let trace = WorkloadProfile::oltp_db2().scaled(0.2).generate(100_000);
-    let v1 = encode_trace(&trace);
+    let v1 = encode_v1(trace.name(), trace.instrs());
     let v2 = pif_repro::trace::encode_v2(trace.name(), trace.instrs());
     assert!(
         v2.len() * 2 <= v1.len(),
@@ -252,7 +248,7 @@ fn run_cmp_sources_streams_per_core_without_materializing() {
 #[test]
 fn v1_to_v2_conversion_preserves_records() {
     let trace = WorkloadProfile::web_zeus().scaled(0.05).generate(10_000);
-    let v1 = encode_trace(&trace);
+    let v1 = encode_v1(trace.name(), trace.instrs());
 
     // Stream-convert exactly as `tracectl convert` does.
     let mut reader = TraceReader::open(v1.as_slice()).unwrap();
@@ -262,7 +258,7 @@ fn v1_to_v2_conversion_preserves_records() {
     }
     let v2 = writer.finish().unwrap();
 
-    let (name, instrs) = pif_repro::trace::decode(&v2).unwrap();
+    let (name, instrs) = decode(&v2).unwrap();
     assert_eq!(name, trace.name());
     assert_eq!(instrs.as_slice(), trace.instrs());
     assert!(v2.len() * 2 < v1.len(), "conversion should shrink the file");
@@ -272,7 +268,7 @@ fn v1_to_v2_conversion_preserves_records() {
 fn corrupt_files_error_cleanly_not_loudly() {
     // An empty file, a bad magic, and an absurd v1 count all yield typed
     // errors (comparable without matches! boilerplate).
-    assert!(pif_repro::trace::decode(&[]).is_err());
+    assert!(decode(&[]).is_err());
     assert_eq!(
         TraceReader::open(&b"XXXX\x01\x00\x00\x00"[..]).err(),
         Some(TraceDecodeError::BadMagic)
@@ -283,7 +279,7 @@ fn corrupt_files_error_cleanly_not_loudly() {
     absurd.extend_from_slice(&0u32.to_le_bytes());
     absurd.extend_from_slice(&u64::MAX.to_le_bytes());
     assert_eq!(
-        decode_trace(&absurd).err(),
+        decode(&absurd).err(),
         Some(TraceDecodeError::Corrupt("record count exceeds payload"))
     );
 }
