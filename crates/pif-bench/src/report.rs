@@ -9,15 +9,17 @@
 //!
 //! # Schema v2
 //!
-//! v2 makes two changes over v1:
+//! v2 is the only schema the gate reads:
 //!
-//! * `"smoke_passed"` is **absent** on full (non-smoke) runs instead of
-//!   `null` — present iff a verdict was actually computed, so consumers
-//!   can distinguish "gate not applicable" from "gate forgot to run";
+//! * `"smoke_passed"` is **absent** on full (non-smoke) runs — present
+//!   iff a verdict was actually computed, so consumers can distinguish
+//!   "gate not applicable" from "gate forgot to run";
 //! * an `"aggregate"` array records parallel sampled-execution
 //!   throughput rows (`aggregate_instrs_per_sec` = instructions the
 //!   whole fan-out retired per wall-clock second at a given thread
-//!   count), alongside the serial per-engine `"results"` rows.
+//!   count), alongside the serial per-engine `"results"` rows;
+//! * `"host_cores"` records the measuring machine's available
+//!   parallelism (see below).
 //!
 //! # The trend gate
 //!
@@ -45,9 +47,7 @@
 //! all multi-threaded aggregate rows whenever the fresh host's core
 //! count differs from the one the baseline recorded (their speedup
 //! ratios are not comparable across machine shapes). Skips are reported
-//! in [`TrendReport::skipped`], never silently. Baselines written before
-//! `host_cores` existed lack the field and keep the old
-//! compare-everything behavior.
+//! in [`TrendReport::skipped`], never silently.
 
 /// Committed throughput floor for the `--smoke` regression gate, in
 /// retired instructions per second of the no-prefetch configuration.
@@ -262,13 +262,9 @@ pub fn validate_json(s: &str) -> Result<(), String> {
     Json::parse(s).map(|_| ())
 }
 
-/// Structurally validates a parsed engine report: schema name, the
-/// absent-or-bool `smoke_passed` contract, and numeric throughput fields
-/// on every `results`/`aggregate` row.
-///
-/// Accepts `pif-bench-engine/v1` documents too (where `smoke_passed:
-/// null` was legal and `aggregate` absent), so the trend gate can read a
-/// committed baseline written before the v2 bump.
+/// Structurally validates a parsed `pif-bench-engine/v2` report: schema
+/// name, the absent-or-bool `smoke_passed` contract, `host_cores`, and
+/// numeric throughput fields on every `results`/`aggregate` row.
 ///
 /// # Errors
 ///
@@ -278,28 +274,21 @@ pub fn validate_engine_report(doc: &Json) -> Result<(), String> {
         .get("schema")
         .and_then(Json::as_str)
         .ok_or("missing schema")?;
-    let v1 = match schema {
-        "pif-bench-engine/v1" => true,
-        "pif-bench-engine/v2" => false,
-        other => return Err(format!("unknown schema {other:?}")),
-    };
+    if schema != "pif-bench-engine/v2" {
+        return Err(format!("unknown schema {schema:?}"));
+    }
     doc.get("smoke")
         .and_then(Json::as_bool)
         .ok_or("smoke must be a bool")?;
     match doc.get("smoke_passed") {
         None => {}
-        Some(Json::Null) if v1 => {}
         Some(v) if v.as_bool().is_some() => {}
         Some(_) => return Err("smoke_passed must be absent or a bool".to_string()),
     }
     doc.get("smoke_floor_instrs_per_sec")
         .and_then(Json::as_f64)
         .ok_or("smoke_floor_instrs_per_sec must be a number")?;
-    // Recorded since the aggregate-portability fix; absent on older
-    // baselines (v1 and early v2), which is fine.
-    if let Some(hc) = doc.get("host_cores") {
-        hc.as_f64().ok_or("host_cores must be a number")?;
-    }
+    host_cores_of(doc)?;
     let results = doc
         .get("results")
         .and_then(Json::as_arr)
@@ -310,18 +299,25 @@ pub fn validate_engine_report(doc: &Json) -> Result<(), String> {
             .and_then(Json::as_f64)
             .ok_or("results row lacks numeric instrs_per_sec")?;
     }
-    if let Some(aggs) = doc.get("aggregate") {
-        let aggs = aggs.as_arr().ok_or("aggregate must be an array")?;
-        for a in aggs {
-            aggregate_key(a)?;
-            a.get("aggregate_instrs_per_sec")
-                .and_then(Json::as_f64)
-                .ok_or("aggregate row lacks numeric aggregate_instrs_per_sec")?;
-        }
-    } else if !v1 {
-        return Err("v2 report lacks the aggregate array".to_string());
+    let aggs = doc
+        .get("aggregate")
+        .and_then(Json::as_arr)
+        .ok_or("aggregate must be an array")?;
+    for a in aggs {
+        aggregate_key(a)?;
+        a.get("aggregate_instrs_per_sec")
+            .and_then(Json::as_f64)
+            .ok_or("aggregate row lacks numeric aggregate_instrs_per_sec")?;
     }
     Ok(())
+}
+
+/// The report's recorded `host_cores`.
+fn host_cores_of(doc: &Json) -> Result<u64, String> {
+    doc.get("host_cores")
+        .and_then(Json::as_f64)
+        .map(|v| v as u64)
+        .ok_or_else(|| "host_cores must be a number".to_string())
 }
 
 /// One regression found by [`compare_trend`].
@@ -451,7 +447,11 @@ fn throughput_rows(doc: &Json) -> Result<Vec<ThroughputRow>, String> {
             threads: None,
         });
     }
-    for a in doc.get("aggregate").and_then(Json::as_arr).unwrap_or(&[]) {
+    for a in doc
+        .get("aggregate")
+        .and_then(Json::as_arr)
+        .ok_or("aggregate must be an array")?
+    {
         let ips = a
             .get("aggregate_instrs_per_sec")
             .and_then(Json::as_f64)
@@ -492,14 +492,8 @@ pub fn compare_trend(committed: &Json, fresh: &Json) -> Result<TrendReport, Stri
     validate_engine_report(fresh).map_err(|e| format!("fresh report: {e}"))?;
     let committed_rows = throughput_rows(committed)?;
     let fresh_rows = throughput_rows(fresh)?;
-    let committed_cores = committed
-        .get("host_cores")
-        .and_then(Json::as_f64)
-        .map(|v| v as u64);
-    let fresh_cores = fresh
-        .get("host_cores")
-        .and_then(Json::as_f64)
-        .map(|v| v as u64);
+    let committed_cores = host_cores_of(committed)?;
+    let fresh_cores = host_cores_of(fresh)?;
 
     let mut pairs: Vec<(String, f64, f64)> = Vec::new();
     let mut skipped = Vec::new();
@@ -507,30 +501,22 @@ pub fn compare_trend(committed: &Json, fresh: &Json) -> Result<TrendReport, Stri
         let Some(f) = fresh_rows.iter().find(|f| f.key == row.key) else {
             continue;
         };
-        if let Some(threads) = row.threads {
-            if let Some(cores) = fresh_cores {
-                if threads > cores {
-                    skipped.push(TrendSkip {
-                        row: row.key.clone(),
-                        reason: format!(
-                            "{threads}-thread fan-out exceeds this host's {cores} cores"
-                        ),
-                    });
-                    continue;
-                }
-            }
-            if let (Some(c), Some(fc)) = (committed_cores, fresh_cores) {
-                if c != fc && threads > 1 {
-                    skipped.push(TrendSkip {
-                        row: row.key.clone(),
-                        reason: format!(
-                            "parallel speedup is not comparable: baseline measured on \
-                             {c} cores, this host has {fc}"
-                        ),
-                    });
-                    continue;
-                }
-            }
+        let skip = match row.threads {
+            Some(threads) if threads > fresh_cores => Some(format!(
+                "{threads}-thread fan-out exceeds this host's {fresh_cores} cores"
+            )),
+            Some(threads) if threads > 1 && committed_cores != fresh_cores => Some(format!(
+                "parallel speedup is not comparable: baseline measured on \
+                 {committed_cores} cores, this host has {fresh_cores}"
+            )),
+            _ => None,
+        };
+        if let Some(reason) = skip {
+            skipped.push(TrendSkip {
+                row: row.key.clone(),
+                reason,
+            });
+            continue;
         }
         pairs.push((row.key.clone(), row.ips, f.ips));
     }
@@ -662,8 +648,8 @@ mod tests {
 
     #[test]
     fn full_run_omits_the_verdict_entirely() {
-        // The v1 schema rendered `smoke_passed: null` on full runs; v2
-        // omits the key, so presence always means a computed verdict.
+        // Full runs omit the key, so presence always means a computed
+        // verdict.
         let json = render_json(&sample(0.01), &[], 2_000_000, false, None, None, None, 8);
         validate_json(&json).expect("artifact parses");
         let doc = Json::parse(&json).unwrap();
@@ -685,10 +671,6 @@ mod tests {
         let doc = Json::parse(&null_verdict).unwrap();
         let err = validate_engine_report(&doc).unwrap_err();
         assert!(err.contains("absent or a bool"), "{err}");
-        // ...but a committed v1 baseline with `null` is still readable.
-        let v1 = null_verdict.replace("pif-bench-engine/v2", "pif-bench-engine/v1");
-        let doc = Json::parse(&v1).unwrap();
-        validate_engine_report(&doc).expect("v1 null verdict is accepted");
     }
 
     #[test]
@@ -768,6 +750,18 @@ mod tests {
     fn validate_rejects_garbage() {
         assert!(validate_json("{\"a\": }").is_err());
         assert!(validate_json("{} trailing").is_err());
+        let json = render_json(&sample(0.01), &[], 300_000, false, None, None, None, 8);
+        // Only v2 is read: a v1 document is an unknown schema.
+        let v1 = Json::parse(&json.replace("pif-bench-engine/v2", "pif-bench-engine/v1")).unwrap();
+        let err = validate_engine_report(&v1).unwrap_err();
+        assert!(err.contains("unknown schema"), "{err}");
+        // `host_cores` is required.
+        assert!(json.contains("  \"host_cores\": 8,\n"), "{json}");
+        let no_cores = Json::parse(&json.replace("  \"host_cores\": 8,\n", "")).unwrap();
+        let err = validate_engine_report(&no_cores).unwrap_err();
+        assert!(err.contains("host_cores"), "{err}");
+        let err = compare_trend(&no_cores, &Json::parse(&json).unwrap()).unwrap_err();
+        assert!(err.contains("committed report: host_cores"), "{err}");
     }
 
     // --- trend gate ---
@@ -781,12 +775,6 @@ mod tests {
 
     /// [`trend_doc`] with an explicit recorded `host_cores`.
     fn trend_doc_on(cores: usize, none_mips: f64, pif_mips: f64, agg_mips: f64) -> Json {
-        Json::parse(&trend_json_on(cores, none_mips, pif_mips, agg_mips)).unwrap()
-    }
-
-    /// The rendered report text behind [`trend_doc_on`], for tests that
-    /// manipulate the raw document.
-    fn trend_json_on(cores: usize, none_mips: f64, pif_mips: f64, agg_mips: f64) -> String {
         let results = vec![
             RunResult {
                 workload: "OLTP-DB2".into(),
@@ -812,7 +800,7 @@ mod tests {
             elapsed_s: 1.0 / agg_mips,
             serial_elapsed_s: 2.0 / agg_mips,
         }];
-        render_json(
+        Json::parse(&render_json(
             &results,
             &aggregates,
             1_000_000,
@@ -821,7 +809,8 @@ mod tests {
             None,
             None,
             cores,
-        )
+        ))
+        .unwrap()
     }
 
     #[test]
@@ -937,49 +926,5 @@ mod tests {
         let report = compare_trend(&committed, &fresh).unwrap();
         assert!(report.passed(), "{:?}", report.regressions);
         assert_eq!(report.skipped.len(), 1);
-    }
-
-    #[test]
-    fn baselines_without_host_cores_compare_everything() {
-        // Reports written before the portability fix lack `host_cores`;
-        // the gate keeps its old compare-every-matching-row behavior for
-        // them rather than guessing at machine shapes.
-        let strip = |json: String| {
-            assert!(json.contains("\"host_cores\": 8,"), "{json}");
-            Json::parse(&json.replace("  \"host_cores\": 8,\n", "")).unwrap()
-        };
-        let committed = strip(trend_json_on(8, 30.0, 15.0, 100.0));
-        let fresh = strip(trend_json_on(8, 30.0, 15.0, 30.0));
-        validate_engine_report(&committed).expect("host_cores is optional");
-        let report = compare_trend(&committed, &fresh).unwrap();
-        assert_eq!(report.rows_compared, 3);
-        assert!(report.skipped.is_empty());
-        assert!(!report.passed(), "aggregate regression still compared");
-        assert_eq!(report.regressions[0].row, "aggregate OLTP-DB2/PIF@8");
-    }
-
-    #[test]
-    fn a_committed_v1_baseline_is_accepted() {
-        let committed_json = render_json(&sample(0.01), &[], 300_000, false, None, None, None, 8)
-            .replace("pif-bench-engine/v2", "pif-bench-engine/v1")
-            .replace("  \"aggregate\": [\n  ]\n}", "  \"aggregate\": []\n}");
-        let committed = Json::parse(&committed_json).unwrap();
-        validate_engine_report(&committed).expect("v1 baseline validates");
-        let fresh = Json::parse(&render_json(
-            &sample(0.012),
-            &sample_aggregates(),
-            300_000,
-            false,
-            None,
-            None,
-            None,
-            8,
-        ))
-        .unwrap();
-        // Aggregate rows exist only in the fresh report: ignored, the
-        // engine rows still gate.
-        let report = compare_trend(&committed, &fresh).unwrap();
-        assert_eq!(report.rows_compared, 2);
-        assert!(report.passed(), "{:?}", report.regressions);
     }
 }

@@ -79,7 +79,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod cache;
-pub mod json;
 mod measure;
 pub mod profile;
 pub mod protocol;
@@ -95,6 +94,7 @@ mod tablefmt;
 
 pub use cache::{CacheKey, CacheStats, ResultCache};
 pub use measure::{density_metric, jump_cdf_metric, len_cdf_metric, offset_metric, runs_metric};
+pub use pif_obs::json;
 pub use profile::{CellProfile, SweepProfile};
 pub use report::{Cell, CheckSummary, Metric, SweepReport};
 pub use scale::Scale;

@@ -5,7 +5,9 @@
 //! both directions; a connection may carry any number of request/response
 //! pairs in order. Every object carries `"proto": "piflab/1"` so either
 //! end can reject a version mismatch with a real error instead of a
-//! parse failure.
+//! parse failure. A request frame longer than [`MAX_REQUEST_BYTES`], or
+//! nested deeper than [`json::MAX_DEPTH`](crate::json::MAX_DEPTH), gets a
+//! `bad_request`; an over-long frame also closes its connection.
 //!
 //! Requests:
 //!
@@ -43,7 +45,7 @@
 //! spec names in `"candidates"`, so clients can print the same hint
 //! `piflab run` prints locally.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -541,6 +543,13 @@ fn parse_scale(j: &Json) -> Result<Scale, String> {
 /// How often blocked accept/read calls re-check the shutdown flag.
 const POLL: Duration = Duration::from_millis(50);
 
+/// The longest request frame the daemon reads, newline included. A
+/// submit is a few hundred bytes; a longer frame gets a `bad_request`
+/// and its connection is closed, so no client can grow a connection's
+/// buffer without bound. Response frames, which carry whole reports,
+/// are not capped.
+pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
+
 /// Serves `piflab/1` on `listener` until `shutdown` becomes true.
 ///
 /// Each connection gets its own scoped thread and is served
@@ -591,9 +600,9 @@ fn serve_connection(
     stream.set_read_timeout(Some(POLL))?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut frame = Vec::new();
     loop {
-        // `read_line` keeps partial data in `line` across timeouts, so a
+        // `read_until` keeps partial data in `frame` across timeouts, so a
         // slow client cannot split a frame.
         // Injected socket faults drop the connection (the daemon-side
         // symptom of a flaky network); the client's retry loop owns
@@ -601,21 +610,34 @@ fn serve_connection(
         pif_fail::fail_point!("proto.read.frame", |e: pif_fail::FailError| Err(
             std::io::Error::other(e.to_string())
         ));
-        match reader.read_line(&mut line) {
+        // One byte past the cap is enough to tell an over-long frame.
+        let budget = (MAX_REQUEST_BYTES + 1 - frame.len()) as u64;
+        match (&mut reader).take(budget).read_until(b'\n', &mut frame) {
             Ok(0) => return Ok(()),
             Ok(_) => {
-                if line.trim().is_empty() {
-                    line.clear();
-                    continue;
+                if frame.len() > MAX_REQUEST_BYTES {
+                    // The rest of the frame is never read, so the
+                    // connection cannot resynchronise: reply, then close.
+                    let response =
+                        bad_request(format!("request frame exceeds {MAX_REQUEST_BYTES} bytes"));
+                    writer.write_all(response.to_line().as_bytes())?;
+                    return writer.flush();
                 }
-                let response = handle_request(&line, service, shutdown);
+                let response = match std::str::from_utf8(&frame) {
+                    Ok(line) if line.trim().is_empty() => {
+                        frame.clear();
+                        continue;
+                    }
+                    Ok(line) => handle_request(line, service, shutdown),
+                    Err(e) => bad_request(format!("request frame is not UTF-8: {e}")),
+                };
                 let done = matches!(response, Response::ShuttingDown);
                 pif_fail::fail_point!("proto.write.frame", |e: pif_fail::FailError| Err(
                     std::io::Error::other(e.to_string())
                 ));
                 writer.write_all(response.to_line().as_bytes())?;
                 writer.flush()?;
-                line.clear();
+                frame.clear();
                 if done {
                     return Ok(());
                 }
@@ -633,20 +655,23 @@ fn serve_connection(
     }
 }
 
+/// A non-retryable `bad_request` frame for a request that never parsed.
+fn bad_request(message: String) -> Response {
+    Response::Error {
+        kind: "bad_request".to_string(),
+        retryable: false,
+        request_id: 0,
+        message,
+        candidates: Vec::new(),
+    }
+}
+
 /// Handles one parsed request against the service. Exposed so tests can
 /// drive the dispatch without sockets.
 pub fn handle_request(line: &str, service: &Service, shutdown: &AtomicBool) -> Response {
     let request = match Request::parse(line) {
         Ok(r) => r,
-        Err(message) => {
-            return Response::Error {
-                kind: "bad_request".to_string(),
-                retryable: false,
-                request_id: 0,
-                message,
-                candidates: Vec::new(),
-            }
-        }
+        Err(message) => return bad_request(message),
     };
     match request {
         Request::Ping => Response::Pong,

@@ -193,6 +193,34 @@ fn truncated_entries_at_every_offset_replay_exactly_or_quarantine() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An entry nested far past the JSON depth limit is corrupt like any
+/// other damaged file: counted, quarantined, and answered with a miss.
+/// Without the limit, parsing it overflowed the looking-up thread's
+/// stack, which aborts the whole process.
+#[test]
+fn deeply_nested_entry_is_quarantined() {
+    let dir = tmpdir("deep");
+    let cache = ResultCache::open(&dir).unwrap();
+    let key = pif_lab::CacheKey {
+        trace_hash: 0x1,
+        config_fp: 0x2,
+    };
+    cache.store(&key, &[("x".into(), Metric::U64(1))]).unwrap();
+    let path = only_entry_file(cache.root());
+    let depth = 200_000;
+    std::fs::write(&path, format!("{}{}", "[".repeat(depth), "]".repeat(depth))).unwrap();
+
+    assert!(cache.lookup(&key).is_none());
+    let stats = cache.stats();
+    assert_eq!((stats.corrupt, stats.quarantined), (1, 1));
+    assert!(!path.exists(), "the entry must leave the addressable store");
+    assert!(cache
+        .quarantine_dir()
+        .join("0000000000000001-0000000000000002.json")
+        .exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn entry_name() -> impl Strategy<Value = String> {
     "[a-z_][a-z0-9_]{0,11}"
 }

@@ -54,7 +54,7 @@ fn static_sweep_is_thread_invariant() {
 fn sampled_sweep_is_thread_invariant() {
     // fig-sampling: seeded-random sample windows whose seeds derive from
     // the job index, so the sampled grid must also be byte-identical
-    // across thread counts (the ISSUE's acceptance criterion).
+    // across thread counts.
     assert_thread_invariant(&registry::fig_sampling());
 }
 

@@ -7,6 +7,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::AtomicBool;
+use std::time::Duration;
 
 use pif_lab::json::Json;
 use pif_lab::protocol::{serve, Request, Response};
@@ -380,4 +381,124 @@ fn out_of_range_submit_fields_get_bad_request_frames() {
         ),
         "{edge}"
     );
+}
+
+/// Sends `frame` on a fresh connection and reads one reply. Write errors
+/// are ignored: the daemon may close an over-long frame's connection
+/// before the client has finished sending it, and the reply it wrote
+/// first is still readable.
+fn send_raw(addr: std::net::SocketAddr, frame: &[u8]) -> (Response, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(addr).unwrap();
+    let _ = (&stream).write_all(frame);
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    (Response::parse(&line).unwrap(), reader)
+}
+
+/// Neither a frame nested far past the JSON depth limit nor one longer
+/// than the frame cap can take the daemon down. The first used to
+/// overflow the connection thread's stack, which aborts the process; the
+/// second used to grow the connection's buffer without bound. Each gets
+/// a non-retryable `bad_request`, nothing reaches the queue, and the
+/// daemon keeps answering.
+#[test]
+fn hostile_frames_get_bad_request_and_the_daemon_survives() {
+    use pif_lab::json::MAX_DEPTH;
+    use pif_lab::protocol::MAX_REQUEST_BYTES;
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let service = Service::start(ServiceConfig {
+        queue_depth: 2,
+        threads: 1,
+        cache_dir: None,
+        ..ServiceConfig::default()
+    });
+    let shutdown = AtomicBool::new(false);
+
+    // Deep enough to overflow any thread's stack without the depth
+    // limit, yet under the frame cap, so the parser has to reject it.
+    let deep = format!("{}\n", "[".repeat(MAX_REQUEST_BYTES - 1_000));
+    // A well-formed ping padded to exactly the cap, and one byte more.
+    let padded_ping = |len: usize| {
+        let head = "{\"proto\": \"piflab/1\", \"cmd\": \"ping\", \"pad\": \"";
+        let pad = "x".repeat(len - head.len() - "\"}\n".len());
+        format!("{head}{pad}\"}}\n")
+    };
+    let at_cap = padded_ping(MAX_REQUEST_BYTES);
+    let over_cap = padded_ping(MAX_REQUEST_BYTES + 1);
+    assert_eq!(over_cap.len(), MAX_REQUEST_BYTES + 1);
+
+    let (deep_reply, over_reply, over_after, at_cap_reply, stats) = std::thread::scope(|s| {
+        let server = s.spawn(|| serve(listener, &service, &shutdown).unwrap());
+        // The parser's error keeps the connection usable.
+        let (deep_reply, mut reader) = send_raw(addr, deep.as_bytes());
+        reader
+            .get_mut()
+            .write_all(Request::Ping.to_line().as_bytes())
+            .unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(Response::parse(&line).unwrap(), Response::Pong);
+        // The cap's error closes it: the next read sees the end of the
+        // stream (or a reset, since the frame's tail was never read).
+        let (over_reply, mut reader) = send_raw(addr, over_cap.as_bytes());
+        reader
+            .get_ref()
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut rest = String::new();
+        let over_after = reader.read_line(&mut rest).map(|_| rest);
+        let (at_cap_reply, _) = send_raw(addr, at_cap.as_bytes());
+        let stream = TcpStream::connect(addr).unwrap();
+        assert_eq!(exchange(&stream, &Request::Ping), Response::Pong);
+        let stats = exchange(&stream, &Request::Stats);
+        exchange(&stream, &Request::Shutdown);
+        server.join().unwrap();
+        (deep_reply, over_reply, over_after, at_cap_reply, stats)
+    });
+    service.shutdown();
+
+    for (name, reply, needle) in [
+        (
+            "deep",
+            deep_reply,
+            format!("nesting deeper than {MAX_DEPTH} levels"),
+        ),
+        (
+            "over-long",
+            over_reply,
+            format!("exceeds {MAX_REQUEST_BYTES} bytes"),
+        ),
+    ] {
+        match reply {
+            Response::Error {
+                kind,
+                retryable,
+                message,
+                ..
+            } => {
+                assert_eq!(kind, "bad_request", "{name}: {message}");
+                assert!(!retryable, "{name}");
+                assert!(message.contains(&needle), "{name}: {message}");
+            }
+            other => panic!("expected bad_request for the {name} frame, got {other:?}"),
+        }
+    }
+    let closed = match &over_after {
+        Ok(rest) => rest.is_empty(),
+        Err(e) => e.kind() == std::io::ErrorKind::ConnectionReset,
+    };
+    assert!(
+        closed,
+        "the over-long frame's connection must close: {over_after:?}"
+    );
+    assert_eq!(at_cap_reply, Response::Pong, "a frame at the cap is served");
+    match stats {
+        Response::Stats { submitted, .. } => {
+            assert_eq!(submitted, 0, "no hostile frame reached the queue")
+        }
+        other => panic!("expected stats, got {other:?}"),
+    }
 }

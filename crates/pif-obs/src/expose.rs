@@ -8,6 +8,7 @@
 
 use std::fmt::Write as _;
 
+use crate::json::escape;
 use crate::metrics::{bucket_bound, MetricValue, Registry, HIST_BUCKETS};
 
 /// Renders `registry` in the Prometheus text exposition format
@@ -47,22 +48,6 @@ pub fn render_prometheus(registry: &Registry) -> String {
     out
 }
 
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Renders `registry` as a `pif-obs/v1` JSON document.
 ///
 /// Shape:
@@ -85,12 +70,13 @@ pub fn render_json(registry: &Registry) -> String {
         if i > 0 {
             out.push_str(", ");
         }
-        out.push_str("{\"name\": \"");
-        escape_json(&metric.name, &mut out);
-        let _ = write!(out, "\", \"type\": \"{}\", ", metric.value.kind().as_str());
-        out.push_str("\"help\": \"");
-        escape_json(&metric.help, &mut out);
-        out.push_str("\", ");
+        let _ = write!(
+            out,
+            "{{\"name\": \"{}\", \"type\": \"{}\", \"help\": \"{}\", ",
+            escape(&metric.name),
+            metric.value.kind().as_str(),
+            escape(&metric.help)
+        );
         match &metric.value {
             MetricValue::Counter(v) | MetricValue::Gauge(v) => {
                 let _ = write!(out, "\"value\": {v}}}");
@@ -244,5 +230,21 @@ mod tests {
         let buckets = json.split("\"buckets\": [").nth(1).unwrap();
         let buckets = buckets.split(']').next().unwrap();
         assert_eq!(buckets.split(", ").count(), HIST_BUCKETS);
+    }
+
+    #[test]
+    fn json_document_escapes_names_and_help() {
+        let reg = Registry::new();
+        let help = "a \"quoted\"\tline\\\n\u{1}";
+        reg.counter("pif_x", help).add(1);
+        let json = render_json(&reg);
+        assert_eq!(
+            json,
+            "{\"schema\": \"pif-obs/v1\", \"metrics\": [{\"name\": \"pif_x\", \"type\": \
+             \"counter\", \"help\": \"a \\\"quoted\\\"\\tline\\\\\\n\\u0001\", \"value\": 1}]}"
+        );
+        let doc = crate::json::Json::parse(&json).unwrap();
+        let metric = &doc.get("metrics").unwrap().as_arr().unwrap()[0];
+        assert_eq!(metric.get("help").unwrap().as_str(), Some(help));
     }
 }

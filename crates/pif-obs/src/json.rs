@@ -1,12 +1,23 @@
 //! Minimal hand-rolled JSON: a value parser and emitter helpers.
 //!
-//! The workspace has no JSON dependency (see `vendor/README.md`), and the
-//! sweep reports must be *parsed* — `piflab check` and `piflab diff`
-//! compare metric values, not bytes — so this is a small recursive-descent
-//! parser producing a [`Json`] tree, in the style of the
-//! `pif-bench-engine/v1` validator but value-producing. Parsing a
-//! document *is* validation: anything malformed is rejected with a byte
-//! offset.
+//! The workspace has no JSON dependency (see `vendor/README.md`), and
+//! several documents must be *parsed*: sweep reports (`piflab check` and
+//! `piflab diff` compare metric values, not bytes), result-cache entries,
+//! `piflab/1` frames and `BENCH_engine.json`. This is a small
+//! recursive-descent parser producing a [`Json`] tree. Parsing a document
+//! *is* validation: anything malformed is rejected with a byte offset.
+//!
+//! Some of those inputs are untrusted (frames arrive over TCP, cache
+//! entries live on disk), and each nesting level costs the parser a stack
+//! frame, so a document nested deeper than [`MAX_DEPTH`] is rejected
+//! rather than allowed to overflow the calling thread's stack. The
+//! emitters use [`escape`] and [`fmt_f64`]; `pif-lab` re-exports this
+//! module as `pif_lab::json`.
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts:
+/// `[]` is depth 1, `[[]]` depth 2. The deepest document the tree writes
+/// nests 4 levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value. Object keys keep document order.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,11 +42,14 @@ impl Json {
     /// # Errors
     ///
     /// Returns a message with the byte offset of the first malformed
-    /// construct, or of trailing garbage after the document.
+    /// construct, of the first container nested deeper than
+    /// [`MAX_DEPTH`], or of trailing garbage after the document.
     pub fn parse(s: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text: s,
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let v = p.value()?;
         p.skip_ws();
@@ -96,8 +110,11 @@ impl Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -131,8 +148,19 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -225,10 +253,15 @@ impl<'a> Parser<'a> {
                     None => return Err(self.error("unterminated escape")),
                 },
                 _ => {
-                    // Re-sync to the char boundary for multi-byte UTF-8.
-                    let tail = &self.bytes[self.pos - 1..];
-                    let s = std::str::from_utf8(tail).map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty tail");
+                    // Decode this char alone: validating the rest of the
+                    // document per char would make parsing quadratic.
+                    // `pos - 1` is a char boundary, because everything
+                    // before it was consumed as ASCII bytes or whole chars.
+                    let c = self
+                        .text
+                        .get(self.pos - 1..)
+                        .and_then(|tail| tail.chars().next())
+                        .ok_or_else(|| self.error("invalid UTF-8"))?;
                     out.push(c);
                     self.pos += c.len_utf8() - 1;
                 }
@@ -334,6 +367,35 @@ mod tests {
         for bad in ["{", "[1,]", "{\"a\": }", "tru", "1 2", "\"abc"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    /// A document `depth` containers deep, alternating arrays and
+    /// objects.
+    fn nested(depth: usize) -> String {
+        let mut doc = String::new();
+        for level in 0..depth {
+            doc.push_str(if level % 2 == 0 { "[" } else { "{\"k\": " });
+        }
+        doc.push_str("null");
+        for level in (0..depth).rev() {
+            doc.push(if level % 2 == 0 { ']' } else { '}' });
+        }
+        doc
+    }
+
+    #[test]
+    fn nesting_is_limited_to_max_depth() {
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128 levels"), "{err}");
+        // The limit counts open containers, not total ones: siblings at
+        // the limit are fine.
+        let siblings = format!("[{}, {}]", nested(MAX_DEPTH - 1), nested(MAX_DEPTH - 1));
+        assert!(Json::parse(&siblings).is_ok());
+        // Far past the limit the parser stops at the first excess level
+        // instead of recursing through the rest.
+        let err = Json::parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("at byte 128:"), "{err}");
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Observability primitives for the PIF reproduction: metrics, logging,
-//! and exposition — with zero dependencies.
+//! exposition and the workspace's JSON module — with zero dependencies.
 //!
-//! Three pieces, all hand-rolled (like `pif_lab::json`) so nothing new
-//! has to build offline:
+//! Four pieces, all hand-rolled so nothing new has to build offline:
 //!
 //! * [`metrics`] — an atomic metric registry. [`Counter`], [`Gauge`],
 //!   and [`Histogram`] are cloneable handles over shared atomics;
@@ -18,6 +17,11 @@
 //!   stderr, filtered by the `PIF_LOG` environment variable
 //!   (`PIF_LOG=debug` or `PIF_LOG=warn,pifd=trace`). Disabled targets
 //!   cost one relaxed atomic load and a short scan.
+//! * [`json`] — the JSON value, its depth-limited parser and the
+//!   [`escape`](json::escape)/[`fmt_f64`](json::fmt_f64) emitter helpers.
+//!   It lives here, at the bottom of the dependency graph, so the
+//!   exposition layer and every crate above it share one implementation;
+//!   `pif-lab` re-exports it as `pif_lab::json`.
 //!
 //! Nothing in this crate touches simulated state: metrics and logs are
 //! about the *host* (wall-clock latencies, queue depths, cache traffic),
@@ -30,6 +34,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod expose;
+pub mod json;
 pub mod log;
 pub mod metrics;
 
