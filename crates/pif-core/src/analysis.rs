@@ -16,20 +16,27 @@
 //!   (Fig. 9 left);
 //! * **spatial-region density**, **discontinuous runs**, and
 //!   **trigger-offset** distributions (Fig. 3, Fig. 8 left).
+//!
+//! [`PifAnalyzer`] can measure several history capacities in one walk of
+//! the trace — one *lane* per capacity, each reporting exactly what an
+//! analyzer of that capacity alone reports — so Fig. 9 right's history
+//! sweep costs one pass over each workload instead of one per capacity.
+
+use std::sync::{Mutex, PoisonError};
 
 use pif_sim::cache::InstructionCache;
 use pif_sim::{ICacheConfig, Log2Histogram};
 use pif_types::{BlockAddr, RegionGeometry, RetiredInstr, TrapLevel};
 
 use crate::config::PifConfig;
-use crate::history::HistoryBuffer;
+use crate::history::{HistoryBuffer, HistoryLookup};
 use crate::index::IndexTable;
-use crate::sab::SabPool;
+use crate::sab::{CompletedStream, SabPool};
 use crate::spatial::SpatialCompactor;
 use crate::temporal::TemporalCompactor;
 
 /// Coverage and stream-shape measurements from one analysis run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PifCoverageReport {
     /// Correct-path block accesses per trap level.
     pub access_total: [u64; TrapLevel::COUNT],
@@ -48,6 +55,17 @@ pub struct PifCoverageReport {
 }
 
 impl PifCoverageReport {
+    fn new() -> Self {
+        PifCoverageReport {
+            access_total: [0; TrapLevel::COUNT],
+            access_predicted: [0; TrapLevel::COUNT],
+            miss_total: [0; TrapLevel::COUNT],
+            miss_predicted: [0; TrapLevel::COUNT],
+            jump_distance: Log2Histogram::new(26),
+            stream_length: Log2Histogram::new(22),
+        }
+    }
+
     /// Miss coverage for one trap level (Fig. 8 right).
     pub fn miss_coverage(&self, tl: TrapLevel) -> f64 {
         let i = tl.index();
@@ -85,19 +103,44 @@ impl PifCoverageReport {
         }
         self.access_predicted.iter().sum::<u64>() as f64 / total as f64
     }
+
+    /// Folds one stream's lifetime into the prediction-weighted
+    /// histograms.
+    fn record_stream(&mut self, done: CompletedStream) {
+        if done.predictions == 0 {
+            return;
+        }
+        self.jump_distance
+            .record_weighted(done.jump_distance_blocks.max(1), done.predictions);
+        self.stream_length
+            .record_weighted(done.regions_advanced.max(1), done.predictions);
+    }
 }
 
 /// Runs the PIF predictor over a correct-path trace, measuring coverage
 /// without prefetching (the processor is undisturbed, as in §2's studies).
 ///
 /// `warmup_instrs` retirements are processed before counting begins.
+///
+/// # History-capacity lanes
+///
+/// One analyzer can evaluate several history capacities ("lanes") in one
+/// walk of the trace ([`PifAnalyzer::with_history_lanes`]), after
+/// Mattson et al.'s one-pass evaluation of every cache size (IBM Sys. J.
+/// 1970). The L1-I model, the compactor chain and one history buffer of
+/// the largest capacity run once; nothing they do depends on the
+/// capacity. Each lane keeps only the state its capacity can change: its
+/// index tables (a lane looks up, and so touches LRU, only when its own
+/// SABs miss), its SAB pool and its report. A lane reads history through
+/// a [`crate::HistoryWindow`] that resolves exactly what a buffer of its own
+/// capacity would, so every lane's report equals that of a one-lane
+/// analyzer at its capacity.
 #[derive(Debug)]
 pub struct PifAnalyzer {
     config: PifConfig,
     icache: InstructionCache,
     levels: Vec<LevelState>,
-    sabs: SabPool,
-    report: PifCoverageReport,
+    lanes: Vec<Lane>,
     counting: bool,
     last_block: Option<BlockAddr>,
     last_tl: TrapLevel,
@@ -106,43 +149,79 @@ pub struct PifAnalyzer {
     records_scratch: Vec<pif_types::SpatialRegionRecord>,
 }
 
+/// One trap level's recording state, shared by every lane.
 #[derive(Debug)]
 struct LevelState {
     spatial: SpatialCompactor,
     temporal: TemporalCompactor,
+    /// Holds the largest lane's capacity; smaller lanes read a window.
     history: HistoryBuffer,
-    index: IndexTable,
+}
+
+/// The state one history capacity changes.
+#[derive(Debug)]
+struct Lane {
+    history_capacity: usize,
+    index: LaneIndex,
+    sabs: SabPool,
+    report: PifCoverageReport,
 }
 
 impl PifAnalyzer {
     /// Creates an analyzer with the given PIF design point and L1-I
-    /// geometry.
+    /// geometry: one lane, at `config.history_capacity`.
     ///
     /// # Panics
     ///
     /// Panics if either configuration is invalid.
     pub fn new(config: PifConfig, icache: ICacheConfig) -> Self {
-        config.validate().expect("invalid PIF configuration");
+        Self::with_history_lanes(config, icache, &[config.history_capacity])
+    }
+
+    /// Creates an analyzer with one lane per entry of
+    /// `history_capacities`. Lane `i` measures `config` with its history
+    /// capacity set to `history_capacities[i]`; `config.history_capacity`
+    /// itself is not used.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either configuration is invalid, or if
+    /// `history_capacities` is empty or holds a zero.
+    pub fn with_history_lanes(
+        config: PifConfig,
+        icache: ICacheConfig,
+        history_capacities: &[usize],
+    ) -> Self {
+        let largest = history_capacities
+            .iter()
+            .copied()
+            .max()
+            .expect("an analyzer needs at least one lane");
+        let config = config.with_history_capacity(largest);
+        for &c in history_capacities {
+            config
+                .with_history_capacity(c)
+                .validate()
+                .expect("invalid PIF configuration");
+        }
         PifAnalyzer {
             icache: InstructionCache::new(icache).expect("invalid icache configuration"),
             levels: (0..TrapLevel::COUNT)
                 .map(|_| LevelState {
                     spatial: SpatialCompactor::new(config.geometry),
                     temporal: TemporalCompactor::new(config.temporal_entries),
-                    history: HistoryBuffer::new(config.history_capacity),
-                    index: IndexTable::new(config.index_entries, config.index_ways)
-                        .expect("validated geometry"),
+                    history: HistoryBuffer::new(largest),
                 })
                 .collect(),
-            sabs: SabPool::new(config.sab_count, config.sab_window),
-            report: PifCoverageReport {
-                access_total: [0; TrapLevel::COUNT],
-                access_predicted: [0; TrapLevel::COUNT],
-                miss_total: [0; TrapLevel::COUNT],
-                miss_predicted: [0; TrapLevel::COUNT],
-                jump_distance: Log2Histogram::new(26),
-                stream_length: Log2Histogram::new(22),
-            },
+            lanes: history_capacities
+                .iter()
+                .map(|&history_capacity| Lane {
+                    history_capacity,
+                    index: LaneIndex::new(&config),
+                    sabs: SabPool::new(config.sab_count, config.sab_window),
+                    report: PifCoverageReport::new(),
+                })
+                .collect(),
             counting: false,
             last_block: None,
             last_tl: TrapLevel::Tl0,
@@ -152,17 +231,59 @@ impl PifAnalyzer {
     }
 
     /// Analyzes a whole trace with the first `warmup_instrs` uncounted.
-    pub fn analyze(mut self, trace: &[RetiredInstr], warmup_instrs: usize) -> PifCoverageReport {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the analyzer has more than one lane: use
+    /// [`PifAnalyzer::analyze_lanes`].
+    pub fn analyze(self, trace: &[RetiredInstr], warmup_instrs: usize) -> PifCoverageReport {
+        let mut reports = self.analyze_lanes(trace, warmup_instrs);
+        assert_eq!(
+            reports.len(),
+            1,
+            "a multi-lane analyzer needs analyze_lanes"
+        );
+        reports.pop().expect("one lane")
+    }
+
+    /// Analyzes a whole trace with the first `warmup_instrs` uncounted,
+    /// returning one report per lane, in lane order.
+    pub fn analyze_lanes(
+        mut self,
+        trace: &[RetiredInstr],
+        warmup_instrs: usize,
+    ) -> Vec<PifCoverageReport> {
+        // The walk is compiled twice. A one-lane analyzer (every
+        // standalone analysis) walks with its lane in a local array, so
+        // the lane loops have a known length and vanish.
+        let mut lanes = std::mem::take(&mut self.lanes);
+        if lanes.len() == 1 {
+            let mut one = [lanes.pop().expect("one lane")];
+            self.walk(&mut one, trace, warmup_instrs);
+            lanes.extend(one);
+        } else {
+            self.walk(&mut lanes, trace, warmup_instrs);
+        }
+        self.lanes = lanes;
+        self.finish()
+    }
+
+    fn walk(
+        &mut self,
+        lanes: &mut impl AsMut<[Lane]>,
+        trace: &[RetiredInstr],
+        warmup_instrs: usize,
+    ) {
         for (i, instr) in trace.iter().enumerate() {
             if !self.counting && i >= warmup_instrs {
                 self.counting = true;
             }
-            self.step(instr);
+            self.step(lanes.as_mut(), instr);
         }
-        self.finish()
     }
 
-    fn step(&mut self, instr: &RetiredInstr) {
+    #[inline(always)]
+    fn step(&mut self, lanes: &mut [Lane], instr: &RetiredInstr) {
         let tl = instr.trap_level;
         let block = instr.pc.block();
 
@@ -174,97 +295,185 @@ impl PifAnalyzer {
         }
         if self.last_block != Some(block) {
             self.last_block = Some(block);
-            self.on_block_access(tl, block);
+            self.on_block_access(lanes, tl, block);
         }
 
         // Retire side: the compactor chain records the stream. All
         // instructions carry the not-prefetched tag (nothing is
         // prefetched in an analysis run).
-        let state = &mut self.levels[tl.index()];
+        let level = tl.index();
+        let state = &mut self.levels[level];
         if let Some(finished) = state.spatial.observe(block, true) {
             if let Some(admitted) = state.temporal.filter(finished) {
                 let pos = state.history.append(admitted.record, true);
-                state.index.insert(admitted.record.trigger, pos);
+                for lane in lanes {
+                    lane.index.tables[level].insert(admitted.record.trigger, pos);
+                }
             }
         }
     }
 
-    fn on_block_access(&mut self, tl: TrapLevel, block: BlockAddr) {
-        let level = tl.index();
-        let geometry = self.config.geometry;
-        let missed = !self.icache.demand_access(block).is_hit();
+    #[inline(always)]
+    fn on_block_access(&mut self, lanes: &mut [Lane], tl: TrapLevel, block: BlockAddr) {
+        let access = BlockAccess {
+            level: tl.index(),
+            block,
+            missed: !self.icache.demand_access(block).is_hit(),
+            counted: self.counting,
+        };
+        let history = &self.levels[access.level].history;
+        for lane in lanes {
+            lane.on_block_access(
+                access,
+                self.config.geometry,
+                history,
+                &mut self.records_scratch,
+            );
+        }
+    }
 
-        let predicted = self.sabs.advance(
+    fn finish(self) -> Vec<PifCoverageReport> {
+        let counting = self.counting;
+        self.lanes
+            .into_iter()
+            .map(|mut lane| {
+                if counting {
+                    for done in lane.sabs.drain_completed() {
+                        lane.report.record_stream(done);
+                    }
+                }
+                lane.report
+            })
+            .collect()
+    }
+}
+
+/// Index tables no analyzer holds, by `(entries, ways)`: dropped
+/// analyzers leave theirs here and new ones clear and reuse them.
+///
+/// A lane job builds every lane's tables at once (about 2 MiB for five
+/// lanes at the paper's geometry) and drops them when it ends. Freed to
+/// the allocator, that memory is trimmed and faulted back in by the next
+/// job; kept here, its pages stay mapped. The pool never holds more
+/// tables than were once in use at the same time.
+static IDLE_INDEX_TABLES: Mutex<Vec<((usize, usize), IndexTable)>> = Mutex::new(Vec::new());
+
+/// One lane's index tables, one per trap level, taken from
+/// [`IDLE_INDEX_TABLES`] when it has tables of the right geometry and
+/// returned to it on drop.
+#[derive(Debug)]
+struct LaneIndex {
+    /// `(entries, ways)` of every table.
+    geometry: (usize, usize),
+    tables: Vec<IndexTable>,
+}
+
+impl LaneIndex {
+    fn new(config: &PifConfig) -> Self {
+        let geometry = (config.index_entries, config.index_ways);
+        let mut idle = IDLE_INDEX_TABLES
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let tables = (0..TrapLevel::COUNT)
+            .map(|_| match idle.iter().position(|(g, _)| *g == geometry) {
+                Some(i) => {
+                    let (_, mut table) = idle.swap_remove(i);
+                    table.clear();
+                    table
+                }
+                None => IndexTable::new(geometry.0, geometry.1).expect("validated geometry"),
+            })
+            .collect();
+        LaneIndex { geometry, tables }
+    }
+}
+
+impl Drop for LaneIndex {
+    fn drop(&mut self) {
+        let geometry = self.geometry;
+        IDLE_INDEX_TABLES
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .extend(self.tables.drain(..).map(|t| (geometry, t)));
+    }
+}
+
+/// One fetch-side block access, as every lane sees it.
+#[derive(Debug, Clone, Copy)]
+struct BlockAccess {
+    /// Trap-level index.
+    level: usize,
+    block: BlockAddr,
+    /// The shared L1-I missed.
+    missed: bool,
+    /// Past warmup: the access enters the reports.
+    counted: bool,
+}
+
+impl Lane {
+    fn on_block_access(
+        &mut self,
+        access: BlockAccess,
+        geometry: RegionGeometry,
+        history: &HistoryBuffer,
+        scratch: &mut Vec<pif_types::SpatialRegionRecord>,
+    ) {
+        // The largest lane reads the shared buffer itself, smaller lanes a
+        // window of their capacity: the same prediction code, with the
+        // largest (and a one-lane analyzer's only) lane on the buffer's
+        // own lookups.
+        if self.history_capacity == history.capacity() {
+            self.predict(access, geometry, history, history.block_position(), scratch);
+        } else {
+            let window = history.window(self.history_capacity);
+            self.predict(access, geometry, window, history.block_position(), scratch);
+        }
+    }
+
+    fn predict<H: HistoryLookup>(
+        &mut self,
+        access: BlockAccess,
+        geometry: RegionGeometry,
+        history: H,
+        block_position: u64,
+        scratch: &mut Vec<pif_types::SpatialRegionRecord>,
+    ) {
+        let BlockAccess {
             level,
             block,
-            geometry,
-            &self.levels[level].history,
-            &mut self.records_scratch,
-        );
+            missed,
+            counted,
+        } = access;
+        let predicted = self.sabs.advance(level, block, geometry, history, scratch);
 
-        if self.counting {
-            self.report.access_total[level] += 1;
+        if counted {
+            let report = &mut self.report;
+            report.access_total[level] += 1;
             if predicted {
-                self.report.access_predicted[level] += 1;
+                report.access_predicted[level] += 1;
             }
             if missed {
-                self.report.miss_total[level] += 1;
+                report.miss_total[level] += 1;
                 if predicted {
-                    self.report.miss_predicted[level] += 1;
+                    report.miss_predicted[level] += 1;
                 }
             }
         }
 
         if !predicted {
             // Try to open a stream at the block's most recent record.
-            let state = &mut self.levels[level];
-            if let Some(pos) = state.index.lookup(block) {
-                if let Some(entry) = state.history.get(pos) {
-                    let jump = state.history.block_position() - entry.block_position;
-                    let completed = self.sabs.allocate(
-                        level,
-                        pos,
-                        jump,
-                        geometry,
-                        &state.history,
-                        &mut self.records_scratch,
-                    );
-                    if let Some(done) = completed {
-                        self.record_stream(
-                            done.jump_distance_blocks,
-                            done.regions_advanced,
-                            done.predictions,
-                        );
+            if let Some(pos) = self.index.tables[level].lookup(block) {
+                if let Some(entry) = history.get(pos) {
+                    let jump = block_position - entry.block_position;
+                    let completed = self
+                        .sabs
+                        .allocate(level, pos, jump, geometry, history, scratch);
+                    if let (Some(done), true) = (completed, counted) {
+                        self.report.record_stream(done);
                     }
                 }
             }
         }
-    }
-
-    fn record_stream(&mut self, jump: u64, regions: u64, predictions: u64) {
-        if predictions == 0 || !self.counting {
-            return;
-        }
-        self.report
-            .jump_distance
-            .record_weighted(jump.max(1), predictions);
-        self.report
-            .stream_length
-            .record_weighted(regions.max(1), predictions);
-    }
-
-    fn finish(mut self) -> PifCoverageReport {
-        for done in self.sabs.drain_completed() {
-            if done.predictions > 0 && self.counting {
-                self.report
-                    .jump_distance
-                    .record_weighted(done.jump_distance_blocks.max(1), done.predictions);
-                self.report
-                    .stream_length
-                    .record_weighted(done.regions_advanced.max(1), done.predictions);
-            }
-        }
-        self.report
     }
 }
 

@@ -1,4 +1,5 @@
-//! The history buffer (§4.2): a circular FIFO of spatial region records.
+//! The history buffer (§4.2): a circular FIFO of spatial region records,
+//! and [`HistoryWindow`], a smaller buffer's view of a larger one.
 
 use std::collections::VecDeque;
 
@@ -114,6 +115,92 @@ impl HistoryBuffer {
     pub fn block_position(&self) -> u64 {
         self.block_position
     }
+
+    /// This buffer as a buffer of `capacity` records would hold it: the
+    /// window resolves exactly the positions, and entries, that
+    /// `HistoryBuffer::new(capacity)` fed the same appends resolves. The
+    /// window is a snapshot; take a new one after the next append.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero or exceeds this buffer's capacity.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use pif_core::HistoryBuffer;
+    /// use pif_types::{BlockAddr, SpatialRegionRecord};
+    ///
+    /// let mut h = HistoryBuffer::new(8);
+    /// for n in 0..4 {
+    ///     h.append(SpatialRegionRecord::new(BlockAddr::from_number(n)), true);
+    /// }
+    /// let w = h.window(2);
+    /// assert!(w.get(1).is_none(), "a 2-record buffer has overwritten it");
+    /// assert!(w.get(2).is_some() && w.get(3).is_some());
+    /// ```
+    #[inline]
+    pub fn window(&self, capacity: usize) -> HistoryWindow<'_> {
+        assert!(
+            capacity > 0 && capacity <= self.capacity,
+            "window of {capacity} records over a buffer of {}",
+            self.capacity
+        );
+        HistoryWindow {
+            entries: &self.entries,
+            base: self.base,
+            start: self.end().saturating_sub(capacity as u64),
+        }
+    }
+}
+
+/// Read access to history entries by position: what the SABs replay from.
+///
+/// Implemented by `&HistoryBuffer` and by a [`HistoryWindow`] over a
+/// larger buffer. Both are small `Copy` values passed by value, so the
+/// prediction path stays monomorphic on whichever it is given.
+pub trait HistoryLookup: Copy {
+    /// Fetches the entry at `pos`, if it is resident.
+    fn get(&self, pos: u64) -> Option<&HistoryEntry>;
+}
+
+impl HistoryLookup for &HistoryBuffer {
+    #[inline]
+    fn get(&self, pos: u64) -> Option<&HistoryEntry> {
+        HistoryBuffer::get(self, pos)
+    }
+}
+
+/// A capacity-`C` view of a [`HistoryBuffer`] of capacity at least `C`
+/// (see [`HistoryBuffer::window`]): one buffer, fed once, serves
+/// analyses of several history sizes.
+#[derive(Debug, Clone, Copy)]
+pub struct HistoryWindow<'a> {
+    entries: &'a VecDeque<HistoryEntry>,
+    /// Monotonic position of `entries[0]`.
+    base: u64,
+    /// Oldest position a buffer of the window's capacity still holds; at
+    /// least `base`, since the window is no larger than the buffer.
+    start: u64,
+}
+
+impl HistoryWindow<'_> {
+    /// Fetches the entry at `pos`, if a buffer of the window's capacity
+    /// still holds it.
+    #[inline]
+    pub fn get(&self, pos: u64) -> Option<&HistoryEntry> {
+        if pos < self.start {
+            return None;
+        }
+        self.entries.get((pos - self.base) as usize)
+    }
+}
+
+impl HistoryLookup for HistoryWindow<'_> {
+    #[inline]
+    fn get(&self, pos: u64) -> Option<&HistoryEntry> {
+        HistoryWindow::get(self, pos)
+    }
 }
 
 #[cfg(test)]
@@ -186,35 +273,46 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use pif_types::BlockAddr;
+    use pif_types::{BlockAddr, RegionGeometry};
     use proptest::prelude::*;
 
     proptest! {
         /// FIFO/positions invariant: after any append sequence, exactly the
-        /// last min(n, capacity) positions resolve, in insertion order.
+        /// last min(n, capacity) positions resolve, in insertion order; and
+        /// a window of that capacity over a larger buffer fed the same
+        /// appends resolves exactly the same positions and entries.
         #[test]
         fn fifo_positions_resolve(
             cap in 1usize..16,
+            extra in 0usize..24,
             n in 0u64..200,
         ) {
             let mut h = HistoryBuffer::new(cap);
+            let mut larger = HistoryBuffer::new(cap + extra);
             for i in 0..n {
-                let pos = h.append(
-                    SpatialRegionRecord::new(BlockAddr::from_number(i)),
-                    i % 2 == 0,
-                );
+                let mut record = SpatialRegionRecord::new(BlockAddr::from_number(i));
+                if i % 3 == 0 {
+                    // Vary the accessed-block count, so block positions
+                    // differ from record positions.
+                    let g = RegionGeometry::paper_default();
+                    record.record_block(g, BlockAddr::from_number(i + 1));
+                }
+                let pos = h.append(record, i % 2 == 0);
                 prop_assert_eq!(pos, i);
+                prop_assert_eq!(larger.append(record, i % 2 == 0), i);
             }
             prop_assert_eq!(h.end(), n);
             let start = n.saturating_sub(cap as u64);
-            for pos in 0..n {
+            let window = larger.window(cap);
+            for pos in 0..n + 2 {
                 match h.get(pos) {
                     Some(e) => {
                         prop_assert!(pos >= start);
                         prop_assert_eq!(e.record.trigger, BlockAddr::from_number(pos));
                     }
-                    None => prop_assert!(pos < start),
+                    None => prop_assert!(pos < start || pos >= n),
                 }
+                prop_assert_eq!(window.get(pos), h.get(pos));
             }
         }
     }

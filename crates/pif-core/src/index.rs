@@ -65,6 +65,15 @@ impl IndexTable {
         hit
     }
 
+    /// Empties the table and zeroes its statistics, keeping its memory:
+    /// afterwards it behaves exactly as a new table of its geometry.
+    pub fn clear(&mut self) {
+        self.table.clear();
+        self.inserts = 0;
+        self.hits = 0;
+        self.lookups = 0;
+    }
+
     /// Insertions performed.
     pub fn inserts(&self) -> u64 {
         self.inserts
@@ -125,6 +134,24 @@ mod tests {
         idx.lookup(b(9));
         assert_eq!(idx.inserts(), 1);
         assert!((idx.hit_rate() - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn cleared_table_behaves_as_new() {
+        let mut idx = IndexTable::new(2, 2).unwrap();
+        for n in 0..6 {
+            idx.insert(b(2 * n), n);
+        }
+        idx.lookup(b(8));
+        idx.clear();
+        assert_eq!((idx.inserts(), idx.hit_rate()), (0, 0.0));
+        assert_eq!(idx.lookup(b(8)), None);
+        // Fresh LRU order: the first of three inserts is the victim.
+        idx.insert(b(0), 1);
+        idx.insert(b(2), 2);
+        idx.insert(b(4), 3);
+        assert_eq!(idx.lookup(b(0)), None);
+        assert_eq!(idx.lookup(b(2)), Some(2));
     }
 
     #[test]

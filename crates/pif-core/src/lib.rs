@@ -61,7 +61,7 @@ mod spatial;
 mod temporal;
 
 pub use config::PifConfig;
-pub use history::{HistoryBuffer, HistoryEntry};
+pub use history::{HistoryBuffer, HistoryEntry, HistoryLookup, HistoryWindow};
 pub use index::IndexTable;
 pub use prefetcher::Pif;
 pub use sab::{Sab, SabPool};

@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 
 use pif_types::{BlockAddr, RegionGeometry, SpatialRegionRecord};
 
-use crate::history::HistoryBuffer;
+use crate::history::HistoryLookup;
 
 /// One stream address buffer: a window of consecutive history records
 /// belonging to an active prediction stream.
@@ -117,12 +117,16 @@ impl SabPool {
     /// records (prefetch candidates) to `out`; returns `true`. Returns
     /// `false` if no stream matched. `out` is cleared first either way, so
     /// a caller-owned scratch buffer can be reused allocation-free.
-    pub fn advance(
+    ///
+    /// `history` is a `&`[`crate::HistoryBuffer`], or a
+    /// [`crate::HistoryWindow`] over one when several history sizes share
+    /// a buffer.
+    pub fn advance<H: HistoryLookup>(
         &mut self,
         level: usize,
         block: BlockAddr,
         geometry: RegionGeometry,
-        history: &HistoryBuffer,
+        history: H,
         out: &mut Vec<SpatialRegionRecord>,
     ) -> bool {
         out.clear();
@@ -159,14 +163,15 @@ impl SabPool {
     /// Allocates a new stream replaying history from `pos`, replacing the
     /// LRU SAB if the pool is full. Clears `out` and fills it with the
     /// initial window's records (prefetch candidates); returns the
-    /// lifetime stats of any stream that was replaced.
-    pub fn allocate(
+    /// lifetime stats of any stream that was replaced. `history` is read
+    /// as in [`SabPool::advance`].
+    pub fn allocate<H: HistoryLookup>(
         &mut self,
         level: usize,
         pos: u64,
         jump_distance_blocks: u64,
         _geometry: RegionGeometry,
-        history: &HistoryBuffer,
+        history: H,
         out: &mut Vec<SpatialRegionRecord>,
     ) -> Option<CompletedStream> {
         out.clear();
@@ -250,6 +255,7 @@ impl SabPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::history::HistoryBuffer;
 
     const G: RegionGeometry = RegionGeometry::paper_default();
 

@@ -328,45 +328,56 @@ fn run_spec_impl(
     }
     let cached_cells = coords.len() - missing.len();
 
+    // The pool runs jobs, not cells: a job is one cell, or every
+    // history-capacity lane of one workload's analysis (`group_jobs`).
+    let jobs = measure::group_jobs(spec, &mut missing);
+
     // Two-level parallelism without oversubscription: when the grid has
-    // enough cells to keep every worker busy, cells run on the outer pool
+    // enough jobs to keep every worker busy, jobs run on the outer pool
     // and each cell's sampled windows run serially; a sparse grid (fewer
-    // cells than threads) instead hands the whole thread budget to each
+    // jobs than threads) instead hands the whole thread budget to each
     // cell's window fan-out.
-    let inner = Pool::new(if missing.len() >= opts.threads {
+    let inner = Pool::new(if jobs.len() >= opts.threads {
         1
     } else {
         opts.threads
     });
-    let (fresh, pool_stats) = Pool::new(opts.threads).run_indexed_stats(missing.len(), |i| {
+    let (fresh, pool_stats) = Pool::new(opts.threads).run_indexed_stats(jobs.len(), |i| {
         // Timed only under profiling, and into a sidecar value — timing
         // never reaches the cell or the report.
         let started = want_profile.then(std::time::Instant::now);
-        let cell = measure::run_job(spec, scale, &workloads, missing[i], &inner);
-        // Sub-microsecond cells (release builds at tiny scale) round up
-        // to 1 so an executed cell is never recorded as untimed.
+        let cells = measure::run_job(spec, scale, &workloads, jobs[i], &inner);
+        // Sub-microsecond jobs (release builds at tiny scale) round up
+        // to 1 µs per cell, so an executed cell is never recorded as
+        // untimed.
         let exec_us = started
-            .map(|t| service::duration_us(t.elapsed()).max(1))
+            .map(|t| service::duration_us(t.elapsed()).max(jobs[i].len() as u64))
             .unwrap_or(0);
-        (cell, exec_us)
+        (cells, exec_us)
     });
-    let executed_cells = fresh.len();
-    for (coord, (cell, exec_us)) in missing.iter().zip(fresh) {
-        exec_us_by_index[coord.index] = exec_us;
-        // Stored pre-derive: `derive_speedups` is a cross-cell merge pass
-        // and is recomputed on every run, cached or not.
-        if let Some(cache) = opts.cache {
-            // A failed store (disk full, EIO) degrades to running
-            // uncached: the sweep still completes with the fresh cell.
-            if let Err(e) = cache.store(&cell_key(*coord), &cell.metrics) {
-                pif_obs::log::warn(
-                    "pif_lab",
-                    "cache store failed; running uncached",
-                    &[("spec", &spec.name), ("error", &e)],
-                );
+    let mut executed_cells = 0;
+    for (job, (job_cells, exec_us)) in jobs.iter().zip(fresh) {
+        for (i, (coord, cell)) in job.iter().zip(job_cells).enumerate() {
+            executed_cells += 1;
+            // A job's wall time is split equally over its cells, so the
+            // cells' `exec_us` still add up to the pool's busy time.
+            let n = job.len() as u64;
+            exec_us_by_index[coord.index] = exec_us / n + u64::from((i as u64) < exec_us % n);
+            // Stored pre-derive: `derive_speedups` is a cross-cell merge
+            // pass and is recomputed on every run, cached or not.
+            if let Some(cache) = opts.cache {
+                // A failed store (disk full, EIO) degrades to running
+                // uncached: the sweep still completes with the fresh cell.
+                if let Err(e) = cache.store(&cell_key(*coord), &cell.metrics) {
+                    pif_obs::log::warn(
+                        "pif_lab",
+                        "cache store failed; running uncached",
+                        &[("spec", &spec.name), ("error", &e)],
+                    );
+                }
             }
+            cells[coord.index] = Some(cell);
         }
-        cells[coord.index] = Some(cell);
     }
     let mut cells: Vec<Cell> = cells
         .into_iter()

@@ -25,10 +25,21 @@
 //! Recorded workloads ([`crate::recorded`]) have no generator at all:
 //! `run_spec_impl` pre-seeds the materialized memo with the loaded
 //! trace, and every measure — engine cells included — consumes it.
+//!
+//! The pool runs **jobs**, and a job is usually one cell. The exception
+//! is the history-capacity sweep ([`group_jobs`]): the analysis cells of
+//! one workload that differ only in history capacity form one *lane
+//! job*, and one [`PifAnalyzer`] walk of the trace measures all of them,
+//! one lane per capacity, instead of one walk per cell. `fig9-history`
+//! runs 6 jobs for its 30 cells. A lane job generates its workload's
+//! trace itself, so no worker waits for another to generate it. Every
+//! cell still merges by its own index and counts in
+//! [`jobs_executed`]; with a result cache attached, a lane job holds
+//! only its workload's missing cells.
 
 use pif_baselines::{DiscontinuityPrefetcher, NextLinePrefetcher, PerfectICache, Tifs};
-use pif_core::analysis::{analyze_regions, PifAnalyzer};
-use pif_core::Pif;
+use pif_core::analysis::{analyze_regions, PifAnalyzer, PifCoverageReport};
+use pif_core::{Pif, PifConfig};
 use pif_sim::predictor_eval::{evaluate_stream_coverage_warmup, TemporalPredictorConfig};
 use pif_sim::prefetch::Prefetcher;
 use pif_sim::sampling::{SampledRunReport, SamplingPlan, WarmStrategy};
@@ -144,22 +155,116 @@ fn encode_generated(profile: &WorkloadProfile, instructions: usize, seed_offset:
     writer.finish().expect("Vec sink cannot fail")
 }
 
-/// Runs one grid cell and returns it (without cross-cell derived
-/// metrics — see [`crate::run_spec`] for the merge pass).
+/// The cell's applied configuration: the spec's base plus its axis point.
+fn applied_configs(spec: &SweepSpec, coord: JobCoord) -> (PifConfig, EngineConfig) {
+    let mut pif = spec.pif_base;
+    let mut engine = spec.engine_base;
+    spec.axis.apply(coord.point, &mut pif, &mut engine);
+    (pif, engine)
+}
+
+/// Groups the cells a sweep must simulate (in index order) into pool
+/// jobs: reorders `cells` so that each job's cells are adjacent, and
+/// returns the jobs as slices of it, in the order of their first cells.
+///
+/// [`Measure::PifAnalysis`] cells of one workload whose applied
+/// configurations differ only in `history_capacity` form one job: a
+/// single walk of the trace evaluates every capacity as a lane of one
+/// [`PifAnalyzer`]. Every other cell is a job of its own. The rule reads
+/// the applied configurations, never the spec name or the axis label, so
+/// `fig9-history` runs one job per workload while `fig7`, `fig9-lengths`
+/// and `fig8-sizes` keep one job per cell.
+///
+/// Jobs are slices of `cells`, so an engine sweep allocates nothing per
+/// job here.
+pub(crate) fn group_jobs<'a>(spec: &SweepSpec, cells: &'a mut [JobCoord]) -> Vec<&'a [JobCoord]> {
+    if !matches!(spec.measure, Measure::PifAnalysis(_)) {
+        return cells.chunks(1).collect();
+    }
+    // Everything about a cell but its history capacity.
+    let lane_key = |c: JobCoord| {
+        let (pif, engine) = applied_configs(spec, c);
+        (
+            c.workload,
+            c.prefetcher,
+            pif.with_history_capacity(1),
+            engine,
+        )
+    };
+    let mut grouped: Vec<Vec<JobCoord>> = Vec::new();
+    for &cell in cells.iter() {
+        match grouped
+            .iter_mut()
+            .find(|job| lane_key(job[0]) == lane_key(cell))
+        {
+            Some(job) => job.push(cell),
+            None => grouped.push(vec![cell]),
+        }
+    }
+    for (slot, &cell) in cells.iter_mut().zip(grouped.iter().flatten()) {
+        *slot = cell;
+    }
+    let mut rest: &'a [JobCoord] = cells;
+    grouped
+        .iter()
+        .map(|job| {
+            let (head, tail) = rest.split_at(job.len());
+            rest = tail;
+            head
+        })
+        .collect()
+}
+
+/// The cells one pool job returns, in `job` order.
+///
+/// A one-cell job keeps its cell inline rather than in a one-element
+/// `Vec`: one such vector per cell raised `fig10`'s peak resident set by
+/// ~3 MiB (15%) at 300k instructions on a 2-vCPU host.
+#[derive(Debug)]
+pub(crate) enum JobCells {
+    /// The cell of a one-cell job.
+    One(Cell),
+    /// The cells of a lane job.
+    Lanes(Vec<Cell>),
+}
+
+impl IntoIterator for JobCells {
+    type Item = Cell;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<Cell>, std::vec::IntoIter<Cell>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        match self {
+            JobCells::One(cell) => Some(cell).into_iter().chain(Vec::new()),
+            JobCells::Lanes(cells) => None.into_iter().chain(cells),
+        }
+    }
+}
+
+/// Runs one pool job — one grid cell, or the history-capacity lanes of
+/// one workload (see [`group_jobs`]) — and returns its cells (without
+/// cross-cell derived metrics — see [`crate::run_spec`] for the merge
+/// pass).
 ///
 /// # Panics
 ///
 /// A cell that cannot be measured panics, failing its sweep: a recorded
 /// workload under [`Measure::Static`], or a shared trace that does not
-/// decode cleanly.
+/// decode cleanly. A job of several cells that are not analysis lanes
+/// panics too.
 pub(crate) fn run_job(
     spec: &SweepSpec,
     scale: &Scale,
     workloads: &[JobWorkload],
-    coord: JobCoord,
+    job: &[JobCoord],
     pool: &Pool,
-) -> Cell {
-    JOBS_EXECUTED.fetch_add(1, Ordering::Relaxed);
+) -> JobCells {
+    assert!(
+        job.len() == 1 || matches!(spec.measure, Measure::PifAnalysis(_)),
+        "spec {}: only analysis lanes share a job",
+        spec.name
+    );
+    JOBS_EXECUTED.fetch_add(job.len() as u64, Ordering::Relaxed);
+    let coord = job[0];
     let workload = &workloads[coord.workload];
     // Memoized per-workload trace for the slice-consuming analysis
     // measures: generated once per (workload, seed), shared across axis
@@ -175,18 +280,17 @@ pub(crate) fn run_job(
                 .generate_with_execution_seed(scale.instructions, spec.seed_offset)
         })
     };
-    let mut pif = spec.pif_base;
-    let mut engine_cfg = spec.engine_base;
-    spec.axis.apply(coord.point, &mut pif, &mut engine_cfg);
+    let (pif, engine_cfg) = applied_configs(spec, coord);
     let warmup = scale.warmup_instrs();
 
-    let mut cell = Cell {
-        index: coord.index,
+    let new_cell = |c: JobCoord| Cell {
+        index: c.index,
         workload: workload.name.clone(),
-        prefetcher: coord.prefetcher.map(PrefetcherKind::label),
-        point: spec.axis.label(coord.point),
+        prefetcher: c.prefetcher.map(PrefetcherKind::label),
+        point: spec.axis.label(c.point),
         metrics: Vec::new(),
     };
+    let mut cell = new_cell(coord);
 
     match spec.measure {
         Measure::Engine => {
@@ -216,37 +320,30 @@ pub(crate) fn run_job(
             engine_metrics(&mut cell, &report);
         }
         Measure::PifAnalysis(cdf) => {
-            let report = PifAnalyzer::new(pif, engine_cfg.icache).analyze(trace().instrs(), warmup);
-            cell.push("miss_coverage", Metric::F64(report.overall_miss_coverage()));
-            cell.push(
-                "predictor_coverage",
-                Metric::F64(report.overall_predictor_coverage()),
+            // One walk of the trace for every history capacity of the job.
+            let capacities: Vec<usize> = job
+                .iter()
+                .map(|&c| applied_configs(spec, c).0.history_capacity)
+                .collect();
+            // Materialize the trace before the analyzer allocates its
+            // history (reserved at the largest lane's capacity), so that
+            // the history sits above the trace in the heap and returns
+            // to the allocator in one piece when the job ends, instead
+            // of leaving a hole under the trace that later cells fill
+            // and keep resident.
+            let trace = trace();
+            let reports = PifAnalyzer::with_history_lanes(pif, engine_cfg.icache, &capacities)
+                .analyze_lanes(trace.instrs(), warmup);
+            return JobCells::Lanes(
+                job.iter()
+                    .zip(&reports)
+                    .map(|(&c, report)| {
+                        let mut cell = new_cell(c);
+                        analysis_metrics(&mut cell, report, cdf);
+                        cell
+                    })
+                    .collect(),
             );
-            cell.push(
-                "miss_coverage_tl0",
-                Metric::F64(report.miss_coverage(TrapLevel::Tl0)),
-            );
-            cell.push(
-                "miss_coverage_tl1",
-                Metric::F64(report.miss_coverage(TrapLevel::Tl1)),
-            );
-            match cdf {
-                CdfKind::None => {}
-                CdfKind::JumpDistance => {
-                    let mut cdf = report.jump_distance.cdf();
-                    cdf.resize(JUMP_CDF_BUCKETS, 1.0);
-                    for (i, v) in cdf.iter().enumerate() {
-                        cell.push(jump_cdf_metric(i), Metric::F64(*v));
-                    }
-                }
-                CdfKind::StreamLength => {
-                    let mut cdf = report.stream_length.cdf();
-                    cdf.resize(LENGTH_CDF_BUCKETS, 1.0);
-                    for (i, v) in cdf.iter().enumerate() {
-                        cell.push(len_cdf_metric(i), Metric::F64(*v));
-                    }
-                }
-            }
         }
         Measure::Regions {
             preceding,
@@ -368,7 +465,41 @@ pub(crate) fn run_job(
             );
         }
     }
-    cell
+    JobCells::One(cell)
+}
+
+/// The metrics of one [`Measure::PifAnalysis`] cell.
+fn analysis_metrics(cell: &mut Cell, report: &PifCoverageReport, cdf: CdfKind) {
+    cell.push("miss_coverage", Metric::F64(report.overall_miss_coverage()));
+    cell.push(
+        "predictor_coverage",
+        Metric::F64(report.overall_predictor_coverage()),
+    );
+    cell.push(
+        "miss_coverage_tl0",
+        Metric::F64(report.miss_coverage(TrapLevel::Tl0)),
+    );
+    cell.push(
+        "miss_coverage_tl1",
+        Metric::F64(report.miss_coverage(TrapLevel::Tl1)),
+    );
+    match cdf {
+        CdfKind::None => {}
+        CdfKind::JumpDistance => {
+            let mut cdf = report.jump_distance.cdf();
+            cdf.resize(JUMP_CDF_BUCKETS, 1.0);
+            for (i, v) in cdf.iter().enumerate() {
+                cell.push(jump_cdf_metric(i), Metric::F64(*v));
+            }
+        }
+        CdfKind::StreamLength => {
+            let mut cdf = report.stream_length.cdf();
+            cdf.resize(LENGTH_CDF_BUCKETS, 1.0);
+            for (i, v) in cdf.iter().enumerate() {
+                cell.push(len_cdf_metric(i), Metric::F64(*v));
+            }
+        }
+    }
 }
 
 /// One engine run over an encoded v2 trace. The run must consume the
@@ -379,7 +510,7 @@ fn engine_replay(
     engine: &Engine,
     encoded: &[u8],
     kind: PrefetcherKind,
-    pif: pif_core::PifConfig,
+    pif: PifConfig,
     warmup: usize,
 ) -> Result<RunReport, TraceDecodeError> {
     let mut source = TraceReader::open(encoded)?.instrs();
@@ -396,7 +527,7 @@ fn engine_run(
     engine: &Engine,
     source: impl pif_types::InstrSource,
     kind: PrefetcherKind,
-    pif: pif_core::PifConfig,
+    pif: PifConfig,
     warmup: usize,
 ) -> RunReport {
     let opts = RunOptions::new().warmup(warmup);
@@ -544,6 +675,57 @@ mod tests {
         let at = encoded.len() - 8;
         encoded[at] ^= 1;
         encoded
+    }
+
+    #[test]
+    fn analysis_cells_differing_only_in_history_capacity_share_a_job() {
+        use crate::registry;
+        // Each job as the axis points of its cells.
+        let points = |spec: &SweepSpec, mut cells: Vec<JobCoord>| -> Vec<Vec<usize>> {
+            group_jobs(spec, &mut cells)
+                .iter()
+                .map(|job| job.iter().map(|c| c.point).collect())
+                .collect()
+        };
+        let jobs = |spec: &SweepSpec| points(spec, spec.jobs());
+        let fig9 = registry::fig9_history();
+        let mut cells = fig9.jobs();
+        let fig9_jobs = group_jobs(&fig9, &mut cells);
+        assert_eq!(fig9_jobs.len(), 6);
+        for (w, job) in fig9_jobs.iter().enumerate() {
+            assert_eq!(job.len(), registry::FIG9_HISTORY_SIZES.len());
+            assert!(job.iter().all(|c| c.workload == w));
+        }
+        for spec in [
+            registry::fig7(),
+            registry::fig9_lengths(),
+            registry::fig8_sizes(),
+            registry::fig10(),
+        ] {
+            let jobs = jobs(&spec);
+            assert_eq!(jobs.len(), spec.grid_len(), "{}", spec.name);
+        }
+        // The rule reads applied configurations, not the axis: design
+        // points that differ only in history capacity share a job, one
+        // that changes anything else runs alone.
+        let base = PifConfig::paper_default();
+        let spec = SweepSpec::new("points", "points", Measure::PifAnalysis(CdfKind::None))
+            .with_workloads(vec!["OLTP-DB2"])
+            .with_axis(ParamAxis::PifPoints(vec![
+                ("small".into(), base.with_history_capacity(16)),
+                ("sabs".into(), base.with_sab_count(2)),
+                ("large".into(), base.with_history_capacity(64)),
+            ]));
+        assert_eq!(jobs(&spec), vec![vec![0, 2], vec![1]]);
+        // A partially cached grid groups only the cells still missing.
+        let missing: Vec<JobCoord> = fig9
+            .jobs()
+            .into_iter()
+            .filter(|c| c.point % 2 == 1)
+            .collect();
+        let partial = points(&fig9, missing);
+        assert_eq!(partial.len(), 6);
+        assert!(partial.iter().all(|job| *job == [1, 3]));
     }
 
     #[test]

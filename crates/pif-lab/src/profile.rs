@@ -25,7 +25,10 @@ pub struct CellProfile {
     /// Whether the cell was replayed from the result cache.
     pub cached: bool,
     /// Wall-clock microseconds spent simulating the cell (0 when
-    /// `cached` — replay cost is not simulation cost).
+    /// `cached` — replay cost is not simulation cost). Cells that ran as
+    /// one job (the history-capacity lanes of one workload) each get an
+    /// equal share of the job's wall time, so the cells' `exec_us` add
+    /// up to the pool's busy time.
     pub exec_us: u64,
 }
 
@@ -154,6 +157,21 @@ mod tests {
         for cell in &profile.cells {
             assert!(!cell.cached, "no cache attached");
             assert!(cell.exec_us > 0, "executed cell {} untimed", cell.index);
+        }
+    }
+
+    #[test]
+    fn lane_jobs_split_their_time_equally_over_their_cells() {
+        let spec = registry::fig9_history();
+        let opts = RunOptions::new().scale(Scale::tiny()).threads(2);
+        let (_, stats, profile) = run_spec_profiled(&spec, &opts);
+        assert_eq!(stats.executed_cells, spec.grid_len());
+        // One job per workload: its cells' shares differ by at most the
+        // microsecond of remainder.
+        for job in profile.cells.chunks(registry::FIG9_HISTORY_SIZES.len()) {
+            let us: Vec<u64> = job.iter().map(|c| c.exec_us).collect();
+            let (lo, hi) = (us.iter().min().unwrap(), us.iter().max().unwrap());
+            assert!(*lo > 0 && hi - lo <= 1, "{}: {us:?}", job[0].workload);
         }
     }
 }

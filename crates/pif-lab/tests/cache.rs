@@ -13,7 +13,10 @@ use std::sync::{Mutex, PoisonError};
 
 use pif_lab::cache::{cell_fingerprint, config_block_canon};
 use pif_lab::json::fmt_f64;
-use pif_lab::{registry, run_spec_stats, Metric, ResultCache, RunOptions, Scale};
+use pif_lab::{
+    registry, run_spec_stats, CdfKind, Measure, Metric, ParamAxis, ResultCache, RunOptions, Scale,
+    SweepSpec,
+};
 use proptest::prelude::*;
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -73,6 +76,71 @@ fn warm_cache_rerun_is_byte_identical_with_zero_engine_runs() {
     assert_eq!(refilled.to_json().unwrap(), reference_json);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A partially cached history-capacity grid. The capacities bind at tiny
+/// scale (fig9-history's do not), so one workload's five cells are five
+/// lanes of one job with different results; `tests/determinism.rs` runs
+/// the same grid at 1, 2 and 8 threads.
+#[test]
+fn partially_cached_lane_grid_reruns_only_its_missing_cells() {
+    let _sweeps = SWEEPS.lock().unwrap_or_else(PoisonError::into_inner);
+    let dir = tmpdir("lanes");
+    let cache = ResultCache::open(&dir).unwrap();
+    let spec = SweepSpec::new(
+        "history-lanes",
+        "history capacities that bind at tiny scale",
+        Measure::PifAnalysis(CdfKind::None),
+    )
+    .with_axis(ParamAxis::HistoryCapacity(vec![16, 64, 256, 1024, 32768]));
+    let scale = Scale::tiny();
+    let base = RunOptions::new().scale(scale).threads(2);
+    let (reference, _) = run_spec_stats(&spec, &base);
+    let reference_json = reference.to_json().unwrap();
+    let coverage: Vec<f64> = reference.cells[..5]
+        .iter()
+        .map(|c| c.expect_metric("predictor_coverage"))
+        .collect();
+    assert!(
+        coverage.windows(2).filter(|p| p[0] != p[1]).count() >= 3,
+        "capacity must bind: {coverage:?}"
+    );
+
+    let opts = base.clone().cache(&cache);
+    let (cold, cold_stats) = run_spec_stats(&spec, &opts);
+    assert_eq!(cold_stats.executed_cells, spec.grid_len());
+    assert_eq!(cold.to_json().unwrap(), reference_json);
+
+    // Drop two of the first workload's five entries: its lane job must
+    // hold exactly those two cells.
+    let workload = &spec.workload_names()[0];
+    for coord in spec.jobs().into_iter().filter(|c| c.workload == 0) {
+        if coord.point == 1 || coord.point == 3 {
+            let fp = cell_fingerprint(&spec, &scale, workload, coord);
+            remove_entry(cache.root(), &format!("{fp:016x}.json"));
+        }
+    }
+    let before = pif_lab::jobs_executed();
+    let (rerun, rerun_stats) = run_spec_stats(&spec, &opts);
+    assert_eq!(rerun_stats.executed_cells, 2);
+    assert_eq!(rerun_stats.cached_cells, spec.grid_len() - 2);
+    assert_eq!(pif_lab::jobs_executed() - before, 2);
+    assert_eq!(rerun.to_json().unwrap(), reference_json);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Deletes the one entry file named `name` from the cache's shards.
+fn remove_entry(root: &std::path::Path, name: &str) {
+    let mut removed = 0;
+    for shard in std::fs::read_dir(root).unwrap() {
+        let path = shard.unwrap().path().join(name);
+        if path.exists() {
+            std::fs::remove_file(path).unwrap();
+            removed += 1;
+        }
+    }
+    assert_eq!(removed, 1, "entry {name}");
 }
 
 /// A different scale must address different entries, not hit stale ones.

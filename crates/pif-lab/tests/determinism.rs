@@ -10,7 +10,7 @@ use std::path::Path;
 
 use pif_lab::json::Json;
 use pif_lab::registry::AblationVariant;
-use pif_lab::{registry, report, run_spec, Measure, ParamAxis, RunOptions, Scale};
+use pif_lab::{registry, report, run_spec, CdfKind, Measure, ParamAxis, RunOptions, Scale};
 use pif_lab::{SweepReport, SweepSpec};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -36,6 +36,20 @@ fn assert_thread_invariant(spec: &pif_lab::SweepSpec) {
 fn analysis_sweep_is_thread_invariant() {
     // fig9-history: workloads x history-capacity axis through PifAnalyzer.
     assert_thread_invariant(&registry::fig9_history());
+}
+
+#[test]
+fn binding_history_lanes_are_thread_invariant() {
+    // History capacities that bind at tiny scale (fig9-history's do not),
+    // so that lanes of one job report different cells. `tests/cache.rs`
+    // runs the same grid partially cached.
+    let spec = SweepSpec::new(
+        "history-lanes",
+        "history capacities that bind at tiny scale",
+        Measure::PifAnalysis(CdfKind::None),
+    )
+    .with_axis(ParamAxis::HistoryCapacity(vec![16, 64, 256, 1024, 32768]));
+    assert_thread_invariant(&spec);
 }
 
 #[test]
