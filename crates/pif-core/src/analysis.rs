@@ -26,7 +26,7 @@ use std::sync::{Mutex, PoisonError};
 
 use pif_sim::cache::InstructionCache;
 use pif_sim::{ICacheConfig, Log2Histogram};
-use pif_types::{BlockAddr, RegionGeometry, RetiredInstr, TrapLevel};
+use pif_types::{BlockAddr, InstrFeed, RegionGeometry, RetiredInstr, TrapLevel};
 
 use crate::config::PifConfig;
 use crate::history::{HistoryBuffer, HistoryLookup};
@@ -206,13 +206,9 @@ impl PifAnalyzer {
         }
         PifAnalyzer {
             icache: InstructionCache::new(icache).expect("invalid icache configuration"),
-            levels: (0..TrapLevel::COUNT)
-                .map(|_| LevelState {
-                    spatial: SpatialCompactor::new(config.geometry),
-                    temporal: TemporalCompactor::new(config.temporal_entries),
-                    history: HistoryBuffer::new(largest),
-                })
-                .collect(),
+            // Built by the walk, which knows how many records the trace
+            // can append.
+            levels: Vec::new(),
             lanes: history_capacities
                 .iter()
                 .map(|&history_capacity| Lane {
@@ -246,40 +242,51 @@ impl PifAnalyzer {
         reports.pop().expect("one lane")
     }
 
-    /// Analyzes a whole trace with the first `warmup_instrs` uncounted,
-    /// returning one report per lane, in lane order.
+    /// Analyzes every instruction `feed` pushes — a trace slice, or a
+    /// workload generator, in which case the walk never holds the trace —
+    /// with the first `warmup_instrs` uncounted, returning one report per
+    /// lane, in lane order.
+    ///
+    /// The shared history reserves room for at most one record per
+    /// instruction of the feed, and no more than the largest lane holds.
     pub fn analyze_lanes(
         mut self,
-        trace: &[RetiredInstr],
+        feed: impl InstrFeed,
         warmup_instrs: usize,
     ) -> Vec<PifCoverageReport> {
+        let config = self.config;
+        let records = feed.instr_count();
+        self.levels = (0..TrapLevel::COUNT)
+            .map(|_| LevelState {
+                spatial: SpatialCompactor::new(config.geometry),
+                temporal: TemporalCompactor::new(config.temporal_entries),
+                history: HistoryBuffer::with_reservation(config.history_capacity, records),
+            })
+            .collect();
         // The walk is compiled twice. A one-lane analyzer (every
         // standalone analysis) walks with its lane in a local array, so
         // the lane loops have a known length and vanish.
         let mut lanes = std::mem::take(&mut self.lanes);
         if lanes.len() == 1 {
             let mut one = [lanes.pop().expect("one lane")];
-            self.walk(&mut one, trace, warmup_instrs);
+            self.walk(&mut one, feed, warmup_instrs);
             lanes.extend(one);
         } else {
-            self.walk(&mut lanes, trace, warmup_instrs);
+            self.walk(&mut lanes, feed, warmup_instrs);
         }
         self.lanes = lanes;
         self.finish()
     }
 
-    fn walk(
-        &mut self,
-        lanes: &mut impl AsMut<[Lane]>,
-        trace: &[RetiredInstr],
-        warmup_instrs: usize,
-    ) {
-        for (i, instr) in trace.iter().enumerate() {
-            if !self.counting && i >= warmup_instrs {
+    fn walk(&mut self, lanes: &mut impl AsMut<[Lane]>, feed: impl InstrFeed, warmup_instrs: usize) {
+        let mut retired = 0;
+        feed.feed(|instr| {
+            if !self.counting && retired >= warmup_instrs {
                 self.counting = true;
             }
-            self.step(lanes.as_mut(), instr);
-        }
+            retired += 1;
+            self.step(lanes.as_mut(), &instr);
+        });
     }
 
     #[inline(always)]
@@ -481,7 +488,7 @@ impl Lane {
 /// Fig. 8 left): density of unique block accesses per region,
 /// discontinuous runs per region, and the distribution of accesses by
 /// offset from the trigger.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionReport {
     /// Geometry the regions were formed with.
     pub geometry: RegionGeometry,
@@ -537,12 +544,13 @@ impl RegionReport {
     }
 }
 
-/// Characterizes the spatial regions of a retire-order trace under
-/// `geometry` (application trap level only, matching Fig. 3's application
+/// Characterizes the spatial regions of a retire-order trace — a slice,
+/// or a workload generator's feed — under `geometry` (application trap
+/// level only, matching Fig. 3's application
 /// reference analysis). The temporal compactor is applied first so loop
 /// iterations do not over-count (as the paper does: "we count only unique
 /// accesses to that region").
-pub fn analyze_regions(trace: &[RetiredInstr], geometry: RegionGeometry) -> RegionReport {
+pub fn analyze_regions(feed: impl InstrFeed, geometry: RegionGeometry) -> RegionReport {
     let total_blocks = geometry.total_blocks();
     let mut spatial = SpatialCompactor::new(geometry);
     let mut temporal = TemporalCompactor::new(4);
@@ -567,16 +575,16 @@ pub fn analyze_regions(trace: &[RetiredInstr], geometry: RegionGeometry) -> Regi
         }
     };
 
-    for instr in trace {
+    feed.feed(|instr| {
         if instr.trap_level != TrapLevel::Tl0 {
-            continue;
+            return;
         }
         if let Some(finished) = spatial.observe(instr.pc.block(), true) {
             if let Some(admitted) = temporal.filter(finished) {
                 tally(admitted, &mut density, &mut runs, &mut offset_counts);
             }
         }
-    }
+    });
     if let Some(finished) = spatial.flush() {
         if let Some(admitted) = temporal.filter(finished) {
             tally(admitted, &mut density, &mut runs, &mut offset_counts);
@@ -679,7 +687,7 @@ mod tests {
         // Straight-line code through 8-block groups: every region is full
         // and has one run.
         let trace = sweep(4096, 1);
-        let report = analyze_regions(&trace, RegionGeometry::paper_default());
+        let report = analyze_regions(&trace[..], RegionGeometry::paper_default());
         assert!(report.total_regions > 100);
         // Sequential code fills the trigger + all 5 succeeding blocks (the
         // 2 preceding slots stay empty): 6 accessed blocks per region.
@@ -695,7 +703,7 @@ mod tests {
     fn region_report_counts_offsets() {
         let trace = sweep(256, 1);
         let g = RegionGeometry::new(4, 12).unwrap();
-        let report = analyze_regions(&trace, g);
+        let report = analyze_regions(&trace[..], g);
         // Sequential code: successor offsets dominate, predecessors ~0.
         assert!(report.offset_frequency(1) > report.offset_frequency(-1));
         assert_eq!(report.offset_frequency(100), 0.0);

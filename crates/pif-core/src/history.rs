@@ -53,9 +53,21 @@ impl HistoryBuffer {
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
+        Self::with_reservation(capacity, capacity)
+    }
+
+    /// Creates a history buffer holding `capacity` region records, with
+    /// room reserved up front for `records` of them (and never more than
+    /// `capacity` or 2^20): a walk that knows how many records it can
+    /// append reserves no more than that.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn with_reservation(capacity: usize, records: usize) -> Self {
         assert!(capacity > 0, "history buffer needs >= 1 record");
         HistoryBuffer {
-            entries: VecDeque::with_capacity(capacity.min(1 << 20)),
+            entries: VecDeque::with_capacity(records.min(capacity).min(1 << 20)),
             capacity,
             base: 0,
             block_position: 0,

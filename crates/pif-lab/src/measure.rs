@@ -2,52 +2,66 @@
 //! metrics.
 //!
 //! Every driver derives its trace from the job's workload via
-//! [`WorkloadProfile::generate_with_execution_seed_into`] /
-//! `generate_with_execution_seed`, so a cell's result depends only on
-//! (spec, scale, seed) — never on which worker thread ran it or when.
-//! Each trace is generated at most once per sweep and memoized on its
-//! [`JobWorkload`]:
+//! [`WorkloadProfile::generate_with_execution_seed_into`], so a cell's
+//! result depends only on (spec, scale, seed) — never on which worker
+//! thread ran it or when. A job holds its trace in one of three forms:
 //!
-//! * Engine cells of a synthetic workload replay a **shared in-memory v2
-//!   trace** ([`pif_trace::TraceWriter`] into a `Vec<u8>`, ~2.15 bytes
-//!   per instruction). The first cell that needs it encodes it; every
-//!   cell of the workload — each prefetcher and axis point — then
-//!   decodes it on its own pool thread through
+//! * **Streamed.** Every trace walk of a synthetic workload — an
+//!   analysis, region or stream-coverage job — gets its instructions
+//!   pushed straight from the generator
+//!   ([`WorkloadProfile::feed_with_execution_seed`]) into the walk, and
+//!   its trace is never in memory. That is every job of `fig2`, `fig3`,
+//!   `fig7`, `fig8-offsets`, `fig8-sizes`, `fig9-lengths` and
+//!   `fig9-history`. A workload with several walks (`fig8-sizes`' five
+//!   region sizes) generates its trace once per walk: at `--scale paper`
+//!   that is faster than materializing it once, whose page faults cost
+//!   more than the four extra generations.
+//! * **Shared v2 buffer.** Engine cells of a synthetic workload replay a
+//!   shared in-memory v2 trace ([`pif_trace::TraceWriter`] into a
+//!   `Vec<u8>`, ~2.15 bytes per instruction). The first cell that needs
+//!   it encodes it; every cell of the workload — each prefetcher and axis
+//!   point — then decodes it on its own pool thread through
 //!   [`pif_trace::TraceReader::instrs`]. The replayed records are exactly
 //!   the generated ones, so reports are unchanged; a decode error fails
 //!   the cell and never shortens its trace. The buffer costs ~26 MB per
 //!   workload at `--scale paper` (12M instructions), ~155 MB for `fig10`'s
 //!   six workloads, held until the sweep ends.
-//! * Analysis and sampled cells need random access into a slice, so they
-//!   share the materialized trace instead (40 bytes per instruction:
-//!   480 MB per workload at `--scale paper`).
+//! * **Materialized.** Sampled cells, which seek into their trace, share
+//!   the workload's materialized trace: 40 bytes per instruction, 480 MB
+//!   per workload at `--scale paper`, generated once by the first cell
+//!   that needs it.
 //!
 //! Recorded workloads ([`crate::recorded`]) have no generator at all:
 //! `run_spec_impl` pre-seeds the materialized memo with the loaded
 //! trace, and every measure — engine cells included — consumes it.
+//!
+//! Engine runs and sampled windows simulate their L2 in their thread's
+//! model ([`with_worker_l2`]), reset in place, instead of building and
+//! page-faulting a fresh 131,072-line model per run.
 //!
 //! The pool runs **jobs**, and a job is usually one cell. The exception
 //! is the history-capacity sweep ([`group_jobs`]): the analysis cells of
 //! one workload that differ only in history capacity form one *lane
 //! job*, and one [`PifAnalyzer`] walk of the trace measures all of them,
 //! one lane per capacity, instead of one walk per cell. `fig9-history`
-//! runs 6 jobs for its 30 cells. A lane job generates its workload's
-//! trace itself, so no worker waits for another to generate it. Every
-//! cell still merges by its own index and counts in
+//! runs 6 jobs for its 30 cells, each streaming its workload's trace.
+//! Every cell still merges by its own index and counts in
 //! [`jobs_executed`]; with a result cache attached, a lane job holds
 //! only its workload's missing cells.
 
 use pif_baselines::{DiscontinuityPrefetcher, NextLinePrefetcher, PerfectICache, Tifs};
 use pif_core::analysis::{analyze_regions, PifAnalyzer, PifCoverageReport};
 use pif_core::{Pif, PifConfig};
+use pif_sim::cache::L2Model;
 use pif_sim::predictor_eval::{evaluate_stream_coverage_warmup, TemporalPredictorConfig};
 use pif_sim::prefetch::Prefetcher;
 use pif_sim::sampling::{SampledRunReport, SamplingPlan, WarmStrategy};
-use pif_sim::{Engine, EngineConfig, NoPrefetcher, RunOptions, RunReport};
+use pif_sim::{Engine, EngineConfig, L2Config, NoPrefetcher, RunOptions, RunReport};
 use pif_trace::{TraceDecodeError, TraceHasher, TraceReader, TraceWriter};
-use pif_types::{RegionGeometry, TrapLevel};
-use pif_workloads::{Trace, WorkloadProfile};
+use pif_types::{InstrFeed, RegionGeometry, RetiredInstr, TrapLevel};
+use pif_workloads::{GeneratedFeed, Trace, WorkloadProfile};
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -111,8 +125,7 @@ pub fn jobs_executed() -> u64 {
 pub(crate) struct JobWorkload {
     pub name: String,
     pub profile: Option<WorkloadProfile>,
-    /// Materialized trace for the slice-consuming measures (analysis,
-    /// sampled, and every recorded cell).
+    /// Materialized trace for sampled cells and for every recorded cell.
     pub trace: OnceLock<Trace>,
     /// Encoded v2 trace that synthetic Engine cells replay.
     pub encoded: OnceLock<Vec<u8>>,
@@ -215,6 +228,46 @@ pub(crate) fn group_jobs<'a>(spec: &SweepSpec, cells: &'a mut [JobCoord]) -> Vec
         .collect()
 }
 
+/// The instructions of one trace-walk job: generated as the walk consumes
+/// them, or a recorded workload's trace.
+enum JobFeed<'a> {
+    Generated(GeneratedFeed<'a>),
+    Shared(&'a [RetiredInstr]),
+}
+
+impl InstrFeed for JobFeed<'_> {
+    fn instr_count(&self) -> usize {
+        match self {
+            JobFeed::Generated(feed) => feed.instr_count(),
+            JobFeed::Shared(trace) => trace.len(),
+        }
+    }
+
+    fn feed(self, sink: impl FnMut(RetiredInstr)) {
+        match self {
+            JobFeed::Generated(feed) => feed.feed(sink),
+            JobFeed::Shared(trace) => trace.feed(sink),
+        }
+    }
+}
+
+thread_local! {
+    /// This thread's L2 model (see [`with_worker_l2`]).
+    static WORKER_L2: RefCell<Option<L2Model>> = const { RefCell::new(None) };
+}
+
+/// Runs `f` on the calling thread's L2 model, built at `config` on first
+/// use and kept until the thread exits. Engine runs handed it reset it in
+/// place ([`RunOptions::l2`]), so results are those of a fresh model,
+/// while a pool worker that simulates cell after cell — 30 engine runs
+/// per `fig10` sweep, one run per window of a sampled cell — keeps one
+/// model's ~1 MiB resident instead of building and page-faulting one per
+/// run. A call nested in `f` on the same thread panics.
+pub(crate) fn with_worker_l2<R>(config: L2Config, f: impl FnOnce(&mut L2Model) -> R) -> R {
+    let new = || L2Model::new(config).expect("validated geometry");
+    WORKER_L2.with(|slot| f(slot.borrow_mut().get_or_insert_with(new)))
+}
+
 /// The cells one pool job returns, in `job` order.
 ///
 /// A one-cell job keeps its cell inline rather than in a one-element
@@ -266,11 +319,11 @@ pub(crate) fn run_job(
     JOBS_EXECUTED.fetch_add(job.len() as u64, Ordering::Relaxed);
     let coord = job[0];
     let workload = &workloads[coord.workload];
-    // Memoized per-workload trace for the slice-consuming analysis
-    // measures: generated once per (workload, seed), shared across axis
-    // points. `get_or_init` blocks concurrent initializers, so exactly
-    // one job pays the generation cost. Recorded workloads arrive
-    // pre-seeded, so the generating closure never runs for them.
+    // Memoized per-workload trace: generated once per (workload, seed),
+    // shared across axis points. `get_or_init` blocks concurrent
+    // initializers, so exactly one job pays the generation cost.
+    // Recorded workloads arrive pre-seeded, so the generating closure
+    // never runs for them.
     let trace = || {
         workload.trace.get_or_init(|| {
             workload
@@ -279,6 +332,14 @@ pub(crate) fn run_job(
                 .expect("recorded traces are pre-seeded by run_spec_impl")
                 .generate_with_execution_seed(scale.instructions, spec.seed_offset)
         })
+    };
+    // The instructions of a trace walk: streamed from the generator, or
+    // a recorded workload's pre-seeded trace.
+    let feed = || match &workload.profile {
+        Some(profile) => JobFeed::Generated(
+            profile.feed_with_execution_seed(scale.instructions, spec.seed_offset),
+        ),
+        None => JobFeed::Shared(trace().instrs()),
     };
     let (pif, engine_cfg) = applied_configs(spec, coord);
     let warmup = scale.warmup_instrs();
@@ -325,15 +386,8 @@ pub(crate) fn run_job(
                 .iter()
                 .map(|&c| applied_configs(spec, c).0.history_capacity)
                 .collect();
-            // Materialize the trace before the analyzer allocates its
-            // history (reserved at the largest lane's capacity), so that
-            // the history sits above the trace in the heap and returns
-            // to the allocator in one piece when the job ends, instead
-            // of leaving a hole under the trace that later cells fill
-            // and keep resident.
-            let trace = trace();
             let reports = PifAnalyzer::with_history_lanes(pif, engine_cfg.icache, &capacities)
-                .analyze_lanes(trace.instrs(), warmup);
+                .analyze_lanes(feed(), warmup);
             return JobCells::Lanes(
                 job.iter()
                     .zip(&reports)
@@ -351,7 +405,7 @@ pub(crate) fn run_job(
         } => {
             let geometry =
                 RegionGeometry::new(preceding, succeeding).expect("spec carries valid geometry");
-            let report = analyze_regions(trace().instrs(), geometry);
+            let report = analyze_regions(feed(), geometry);
             cell.push("total_regions", Metric::U64(report.total_regions));
             for &(lo, hi) in &DENSITY_BUCKETS {
                 cell.push(
@@ -373,7 +427,7 @@ pub(crate) fn run_job(
             let report = evaluate_stream_coverage_warmup(
                 &engine_cfg,
                 TemporalPredictorConfig::default(),
-                trace().instrs(),
+                feed(),
                 warmup,
             );
             cell.push(
@@ -521,8 +575,9 @@ fn engine_replay(
     }
 }
 
-/// One engine run of `source` under the cell's prefetcher kind — shared
-/// by the synthetic shared-trace replay and the recorded-trace path.
+/// One engine run of `source` under the cell's prefetcher kind, on the
+/// thread's L2 — shared by the synthetic shared-trace replay and the
+/// recorded-trace path.
 fn engine_run(
     engine: &Engine,
     source: impl pif_types::InstrSource,
@@ -530,18 +585,20 @@ fn engine_run(
     pif: PifConfig,
     warmup: usize,
 ) -> RunReport {
-    let opts = RunOptions::new().warmup(warmup);
-    match kind {
-        PrefetcherKind::None => engine.run(source, NoPrefetcher, opts),
-        PrefetcherKind::NextLine => engine.run(source, NextLinePrefetcher::aggressive(), opts),
-        PrefetcherKind::Tifs => engine.run(source, Tifs::new(Default::default()), opts),
-        PrefetcherKind::TifsUnbounded => engine.run(source, Tifs::unbounded(), opts),
-        PrefetcherKind::Discontinuity => {
-            engine.run(source, DiscontinuityPrefetcher::paper_scale(), opts)
+    with_worker_l2(engine.config().l2, |l2| {
+        let opts = RunOptions::new().warmup(warmup).l2(l2);
+        match kind {
+            PrefetcherKind::None => engine.run(source, NoPrefetcher, opts),
+            PrefetcherKind::NextLine => engine.run(source, NextLinePrefetcher::aggressive(), opts),
+            PrefetcherKind::Tifs => engine.run(source, Tifs::new(Default::default()), opts),
+            PrefetcherKind::TifsUnbounded => engine.run(source, Tifs::unbounded(), opts),
+            PrefetcherKind::Discontinuity => {
+                engine.run(source, DiscontinuityPrefetcher::paper_scale(), opts)
+            }
+            PrefetcherKind::Pif => engine.run(source, Pif::new(pif), opts),
+            PrefetcherKind::Perfect => engine.run(source, PerfectICache, opts),
         }
-        PrefetcherKind::Pif => engine.run(source, Pif::new(pif), opts),
-        PrefetcherKind::Perfect => engine.run(source, PerfectICache, opts),
-    }
+    })
 }
 
 /// One sampled cell run: windows over the memoized workload trace, fanned
@@ -726,6 +783,58 @@ mod tests {
         let partial = points(&fig9, missing);
         assert_eq!(partial.len(), 6);
         assert!(partial.iter().all(|job| *job == [1, 3]));
+    }
+
+    /// A trace-walk job of a synthetic workload streams its trace, and
+    /// gives the same cells as the job walking that trace materialized
+    /// (the memo a recorded workload is served from).
+    #[test]
+    fn streamed_jobs_equal_materialized_jobs() {
+        use crate::registry;
+        let scale = Scale::tiny();
+        let pool = Pool::new(1);
+        for mut spec in [
+            registry::fig2(),
+            registry::fig3(),
+            registry::fig7(),
+            registry::fig8_sizes(),
+            registry::fig9_history(),
+        ] {
+            spec.seed_offset = 7;
+            let mut cells = spec.jobs();
+            let jobs = group_jobs(&spec, &mut cells);
+            let run = |workloads: &[JobWorkload]| -> Vec<Vec<Cell>> {
+                jobs.iter()
+                    .map(|job| {
+                        run_job(&spec, &scale, workloads, job, &pool)
+                            .into_iter()
+                            .collect()
+                    })
+                    .collect()
+            };
+            let synthetic: Vec<JobWorkload> = scale
+                .workloads()
+                .into_iter()
+                .map(|w| JobWorkload::new(w.name().to_string(), Some(w)))
+                .collect();
+            let streamed = run(&synthetic);
+            assert!(
+                synthetic.iter().all(|w| w.trace.get().is_none()),
+                "{}: a streamed job materializes nothing",
+                spec.name
+            );
+            let materialized: Vec<JobWorkload> = scale
+                .workloads()
+                .into_iter()
+                .map(|w| {
+                    let memo = JobWorkload::new(w.name().to_string(), None);
+                    let trace = w.generate_with_execution_seed(scale.instructions, 7);
+                    memo.trace.set(trace).expect("a fresh memo");
+                    memo
+                })
+                .collect();
+            assert_eq!(streamed, run(&materialized), "{}", spec.name);
+        }
     }
 
     #[test]

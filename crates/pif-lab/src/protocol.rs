@@ -540,8 +540,14 @@ fn parse_scale(j: &Json) -> Result<Scale, String> {
     })
 }
 
-/// How often blocked accept/read calls re-check the shutdown flag.
+/// How often a blocked connection read re-checks the shutdown flag.
 const POLL: Duration = Duration::from_millis(50);
+
+/// How long the listener sleeps when no connection is waiting before it
+/// tries `accept` again (and re-checks the shutdown flag). It is the
+/// longest a new connection waits to be accepted, so it is kept to a
+/// millisecond, not [`POLL`]: every `piflab submit` opens one.
+const ACCEPT_POLL: Duration = Duration::from_millis(1);
 
 /// The longest request frame the daemon reads, newline included. A
 /// submit is a few hundred bytes; a longer frame gets a `bad_request`
@@ -557,7 +563,9 @@ pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
 /// service queue's backpressure) while other connections keep being
 /// accepted. A `shutdown` request sets the shared flag, so either a
 /// signal handler or a client can stop the daemon; in-flight submissions
-/// finish before `serve` returns.
+/// finish before `serve` returns. The listener is polled: a connection
+/// waits at most about a millisecond to be accepted, and the flag is
+/// seen within as long.
 ///
 /// # Errors
 ///
@@ -580,7 +588,7 @@ pub fn serve(
                     });
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL);
+                    std::thread::sleep(ACCEPT_POLL);
                 }
                 Err(e) => {
                     eprintln!("pifd: accept error: {e}");

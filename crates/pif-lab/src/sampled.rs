@@ -8,8 +8,8 @@
 //! merged [`SampledRunReport`] is **byte-identical** to the serial run's
 //! — and therefore identical across thread counts — because
 //!
-//! 1. each window runs on a fresh engine + prefetcher (no shared mutable
-//!    state to race on),
+//! 1. each window runs on a fresh engine + prefetcher and its worker
+//!    thread's L2, reset in place (no shared mutable state to race on),
 //! 2. results are merged by window index, not completion order, and
 //! 3. plans using [`WarmStrategy::Continuous`](pif_sim::sampling::WarmStrategy)
 //!    — whose windows consume predictor state produced by earlier windows
@@ -31,6 +31,7 @@ use pif_sim::EngineConfig;
 use pif_trace::{TraceDecodeError, TraceReader};
 use pif_types::InstrSource;
 
+use crate::measure::with_worker_l2;
 use crate::service::Pool;
 
 /// Parallel counterpart of [`run_sampled`]: fans the plan's windows out
@@ -66,13 +67,16 @@ where
     let windows = plan.windows(total_records);
     let samples = pool.run_indexed(windows.len(), |i| {
         let window = windows[i];
-        run_one_window(
-            config,
-            plan,
-            window,
-            open_at(&window),
-            prefetcher_for(window.index),
-        )
+        with_worker_l2(config.l2, |l2| {
+            run_one_window(
+                config,
+                plan,
+                window,
+                open_at(&window),
+                prefetcher_for(window.index),
+                l2,
+            )
+        })
     });
     assemble_report(plan, total_records, samples)
 }
@@ -151,13 +155,16 @@ fn run_window_from_file<P: Prefetcher>(
     };
     reader.seek_to_record(window.warmup_start)?;
     let mut source = reader.instrs_mut();
-    let sample = run_one_window(
-        config,
-        plan,
-        window,
-        source.by_ref().take(window.len() as usize),
-        prefetcher_for(window.index),
-    );
+    let sample = with_worker_l2(config.l2, |l2| {
+        run_one_window(
+            config,
+            plan,
+            window,
+            source.by_ref().take(window.len() as usize),
+            prefetcher_for(window.index),
+            l2,
+        )
+    });
     if let Some(e) = source.take_error() {
         return Err(e);
     }

@@ -108,7 +108,8 @@ impl Pool {
     /// `f` is called with each job index exactly once. The assignment of
     /// jobs to workers is dynamic (first idle worker takes the next
     /// job), but the returned `Vec` is always
-    /// `[f(0), f(1), …, f(n_jobs - 1)]`.
+    /// `[f(0), f(1), …, f(n_jobs - 1)]`. A run with one worker runs its
+    /// jobs in index order on the calling thread.
     ///
     /// # Panics
     ///
@@ -136,6 +137,16 @@ impl Pool {
         F: Fn(usize) -> R + Sync,
     {
         let threads = self.threads.min(n_jobs.max(1));
+        if threads == 1 {
+            // One worker: the calling thread itself, which keeps its
+            // per-thread simulation state (`measure::with_worker_l2`)
+            // across runs instead of a fresh thread building its own.
+            let stats = PoolRunStats {
+                jobs: n_jobs as u64,
+                stolen_jobs: 0,
+            };
+            return ((0..n_jobs).map(f).collect(), stats);
+        }
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<R>>> = (0..n_jobs).map(|_| Mutex::new(None)).collect();
         // Which worker claimed each job index, for the steal counter.

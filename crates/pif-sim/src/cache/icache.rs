@@ -24,6 +24,15 @@ struct LineMeta {
     provenance: LineProvenance,
 }
 
+/// The metadata of an empty way, never read.
+impl Default for LineMeta {
+    fn default() -> Self {
+        LineMeta {
+            provenance: LineProvenance::Demand,
+        }
+    }
+}
+
 /// Result of a demand access to the instruction cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessOutcome {

@@ -43,17 +43,43 @@ impl L2Model {
     ///
     /// Returns [`pif_types::ConfigError`] on invalid geometry.
     pub fn new(config: L2Config) -> Result<Self, pif_types::ConfigError> {
-        let blocks = config.capacity_bytes / pif_types::BLOCK_SIZE;
-        if blocks == 0 || !blocks.is_multiple_of(config.ways) {
-            return Err(pif_types::ConfigError::new("invalid L2 geometry"));
-        }
-        let sets = blocks / config.ways;
         Ok(L2Model {
-            cache: SetAssocCache::new(sets, config.ways)?,
+            cache: SetAssocCache::new(Self::sets(&config)?, config.ways)?,
             config,
             hits: 0,
             misses: 0,
         })
+    }
+
+    /// Empties the model and reconfigures it: afterwards it behaves
+    /// exactly as `L2Model::new(config)` would, with no lines resident
+    /// and zero hits and misses. Its arrays are reused when `config` keeps
+    /// the geometry, so a caller that runs many simulations on one model
+    /// pays for its ~1 MiB of tags once rather than once per run.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`pif_types::ConfigError`] on invalid geometry, leaving
+    /// the model unchanged.
+    pub fn reset(&mut self, config: L2Config) -> Result<(), pif_types::ConfigError> {
+        if Self::sets(&config)? == self.cache.sets() && config.ways == self.cache.ways() {
+            self.cache.clear();
+            self.config = config;
+            self.hits = 0;
+            self.misses = 0;
+        } else {
+            *self = L2Model::new(config)?;
+        }
+        Ok(())
+    }
+
+    /// The set count of `config`'s geometry.
+    fn sets(config: &L2Config) -> Result<usize, pif_types::ConfigError> {
+        let blocks = config.capacity_bytes / pif_types::BLOCK_SIZE;
+        if blocks == 0 || !blocks.is_multiple_of(config.ways) {
+            return Err(pif_types::ConfigError::new("invalid L2 geometry"));
+        }
+        Ok(blocks / config.ways)
     }
 
     /// Services an L1 miss (demand or prefetch) for `block`, returning the
@@ -141,6 +167,44 @@ mod tests {
         assert_eq!(l2.access(b), cfg.hit_latency_cycles, "warm first touch");
         assert_eq!(l2.access(b), cfg.hit_latency_cycles);
         assert_eq!(l2.misses(), 0, "checkpoint-warmed L2 never misses");
+    }
+
+    #[test]
+    fn reset_behaves_as_a_new_model() {
+        let cfg = L2Config {
+            capacity_bytes: 4 * 64,
+            ways: 2,
+            hit_latency_cycles: 15,
+            memory_latency_cycles: 90,
+            assume_warm: false,
+        };
+        let trace: Vec<BlockAddr> = [0u64, 2, 4, 0, 6, 2, 1, 3, 5, 1, 8, 0]
+            .iter()
+            .map(|&n| BlockAddr::from_number(n))
+            .collect();
+        let latencies =
+            |l2: &mut L2Model| -> Vec<u64> { trace.iter().map(|&b| l2.access(b)).collect() };
+        let mut fresh = L2Model::new(cfg).unwrap();
+        let expected = latencies(&mut fresh);
+        // Reused at the same geometry, then at another one and back, and
+        // with other latencies: always a new model's behaviour.
+        let mut reused = L2Model::new(L2Config::paper_default()).unwrap();
+        for config in [cfg, L2Config::paper_default(), cfg] {
+            latencies(&mut reused);
+            reused.reset(config).unwrap();
+            assert_eq!((reused.hits(), reused.misses()), (0, 0));
+            assert_eq!(reused.config(), &config);
+            let mut fresh = L2Model::new(config).unwrap();
+            assert_eq!(latencies(&mut reused), latencies(&mut fresh));
+        }
+        latencies(&mut reused);
+        reused.reset(cfg).unwrap();
+        assert_eq!(latencies(&mut reused), expected);
+        let warm = cfg.with_assume_warm(true);
+        reused.reset(warm).unwrap();
+        assert_eq!(reused.access(trace[0]), warm.hit_latency_cycles);
+        assert!(reused.reset(L2Config { ways: 3, ..cfg }).is_err());
+        assert_eq!(reused.config(), &warm, "a rejected reset changes nothing");
     }
 
     #[test]

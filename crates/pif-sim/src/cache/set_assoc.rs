@@ -44,14 +44,16 @@ pub struct SetAssocCache<T = ()> {
     /// empty way). We store the whole number rather than a truncated tag so
     /// debugging output stays legible.
     tags: Vec<u64>,
-    /// Parallel per-line metadata; `Some` exactly where the tag is valid.
-    meta: Vec<Option<T>>,
+    /// Parallel per-line metadata, meaningful exactly where the tag is
+    /// valid (the tag says which ways hold a line, so the metadata needs
+    /// no `Option` of its own).
+    meta: Vec<T>,
     /// One packed LRU word per set, stored inline.
     repl: Vec<LruOrder>,
     resident: usize,
 }
 
-impl<T> SetAssocCache<T> {
+impl<T: Default> SetAssocCache<T> {
     /// Creates a cache with `sets` sets of `ways` ways.
     ///
     /// # Errors
@@ -75,7 +77,7 @@ impl<T> SetAssocCache<T> {
             )));
         }
         let mut meta = Vec::with_capacity(sets * ways);
-        meta.resize_with(sets * ways, || None);
+        meta.resize_with(sets * ways, T::default);
         Ok(SetAssocCache {
             sets,
             ways,
@@ -137,7 +139,7 @@ impl<T> SetAssocCache<T> {
     pub fn probe(&self, block: BlockAddr) -> Option<&T> {
         let set = self.set_index(block);
         let way = self.find_way(set, block.number())?;
-        self.meta[set * self.ways + way].as_ref()
+        Some(&self.meta[set * self.ways + way])
     }
 
     /// True if `block` is resident (non-perturbing).
@@ -155,7 +157,7 @@ impl<T> SetAssocCache<T> {
         let set = self.set_index(block);
         let way = self.find_way(set, block.number())?;
         self.repl[set].touch(self.ways, way);
-        self.meta[set * self.ways + way].as_mut()
+        Some(&mut self.meta[set * self.ways + way])
     }
 
     /// Inserts `block`, evicting a victim if the set is full. Returns the
@@ -176,7 +178,7 @@ impl<T> SetAssocCache<T> {
         let base = set * self.ways;
         if let Some(way) = self.find_way(set, tag) {
             self.repl[set].touch(self.ways, way);
-            self.meta[base + way] = Some(meta);
+            self.meta[base + way] = meta;
             return None;
         }
         // Prefer an empty way.
@@ -184,22 +186,20 @@ impl<T> SetAssocCache<T> {
             .iter()
             .position(|&t| t == INVALID_TAG);
         let (way, evicted) = match empty {
-            Some(way) => (way, None),
+            Some(way) => {
+                self.resident += 1;
+                self.meta[base + way] = meta;
+                (way, None)
+            }
             None => {
                 let way = self.repl[set].victim(self.ways);
                 let old_tag = self.tags[base + way];
-                let old_meta = self.meta[base + way]
-                    .take()
-                    .expect("resident line has meta");
+                let old_meta = std::mem::replace(&mut self.meta[base + way], meta);
                 (way, Some((BlockAddr::from_number(old_tag), old_meta)))
             }
         };
         self.tags[base + way] = tag;
-        self.meta[base + way] = Some(meta);
         self.repl[set].touch(self.ways, way);
-        if evicted.is_none() {
-            self.resident += 1;
-        }
         evicted
     }
 
@@ -209,7 +209,7 @@ impl<T> SetAssocCache<T> {
         let way = self.find_way(set, block.number())?;
         self.resident -= 1;
         self.tags[set * self.ways + way] = INVALID_TAG;
-        self.meta[set * self.ways + way].take()
+        Some(std::mem::take(&mut self.meta[set * self.ways + way]))
     }
 
     /// Iterates over resident blocks (arbitrary order).
@@ -220,12 +220,11 @@ impl<T> SetAssocCache<T> {
             .map(|&t| BlockAddr::from_number(t))
     }
 
-    /// Clears all lines and resets replacement state.
+    /// Clears all lines and resets replacement state: the cache behaves
+    /// as a new one of its geometry. The metadata of invalid ways is never
+    /// read, so it is left as it is.
     pub fn clear(&mut self) {
         self.tags.fill(INVALID_TAG);
-        for slot in &mut self.meta {
-            *slot = None;
-        }
         self.repl.fill(LruOrder::new(self.ways));
         self.resident = 0;
     }
@@ -320,11 +319,16 @@ mod tests {
         for n in 0..4 {
             c.insert(b(n), ());
         }
+        // Set 0 now has its first way most recent, set 1 its second.
+        assert!(c.access(b(0)).is_some());
         c.clear();
         assert!(c.is_empty());
         for n in 0..4 {
             assert!(!c.contains(b(n)));
         }
+        // Tags, recency order and count alike: a new cache's state.
+        let new: SetAssocCache<()> = SetAssocCache::new(2, 2).unwrap();
+        assert_eq!(format!("{c:?}"), format!("{new:?}"));
     }
 
     #[test]

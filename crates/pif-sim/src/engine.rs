@@ -44,10 +44,11 @@ impl RunReport {
 }
 
 /// Options for one [`Engine::run`]: the warmup prefix and, optionally, a
-/// caller-owned front end whose predictor state persists across runs.
+/// caller-owned front end whose predictor state persists across runs and
+/// a caller-owned L2 to reuse.
 ///
 /// The struct is `#[non_exhaustive]`; build it with [`RunOptions::new`]
-/// and the `warmup`/`frontend` builders so future options (per-run
+/// and the `warmup`/`frontend`/`l2` builders so future options (per-run
 /// instrumentation, fetch throttling, …) can land without breaking
 /// callers.
 ///
@@ -73,10 +74,17 @@ pub struct RunOptions<'a> {
     /// (`crate::sampling`) uses this to keep predictor tables
     /// continuously warm across measurement windows.
     pub frontend: Option<&'a mut FrontEnd>,
+    /// An existing [`L2Model`] to simulate the L2 in instead of a fresh
+    /// one. Unlike the front end, nothing carries in: the run first resets
+    /// it to the engine's L2 configuration, so the report is the one a
+    /// fresh L2 gives. A caller running many simulations on one thread
+    /// keeps one L2's memory instead of building (and page-faulting) a
+    /// 131,072-line model per run.
+    pub l2: Option<&'a mut L2Model>,
 }
 
 impl RunOptions<'static> {
-    /// Default options: no warmup, a fresh front end.
+    /// Default options: no warmup, a fresh front end and a fresh L2.
     pub fn new() -> Self {
         Self::default()
     }
@@ -92,10 +100,19 @@ impl<'a> RunOptions<'a> {
 
     /// Drives `frontend` instead of a fresh front end.
     #[must_use]
-    pub fn frontend(self, frontend: &mut FrontEnd) -> RunOptions<'_> {
+    pub fn frontend(self, frontend: &'a mut FrontEnd) -> Self {
         RunOptions {
-            warmup_instrs: self.warmup_instrs,
             frontend: Some(frontend),
+            ..self
+        }
+    }
+
+    /// Simulates the L2 in `l2`, reset in place, instead of a fresh one.
+    #[must_use]
+    pub fn l2(self, l2: &'a mut L2Model) -> Self {
+        RunOptions {
+            l2: Some(l2),
+            ..self
         }
     }
 }
@@ -154,7 +171,8 @@ impl Engine {
     ///
     /// [`RunOptions`] carries the warmup prefix and, for sampled
     /// simulation, a caller-owned [`FrontEnd`] whose predictor state
-    /// persists across runs.
+    /// persists across runs; a caller-owned [`L2Model`] is reset and
+    /// reused.
     ///
     /// # Example
     ///
@@ -220,21 +238,31 @@ impl Engine {
         options: RunOptions<'_>,
         probe: &mut Pr,
     ) -> RunReport {
-        match options.frontend {
-            Some(frontend) => {
-                self.run_core(source, prefetcher, options.warmup_instrs, frontend, probe)
+        let RunOptions {
+            warmup_instrs,
+            frontend,
+            l2,
+        } = options;
+        let mut fresh_frontend;
+        let frontend = match frontend {
+            Some(frontend) => frontend,
+            None => {
+                fresh_frontend = FrontEnd::new(self.config.frontend);
+                &mut fresh_frontend
+            }
+        };
+        let mut fresh_l2;
+        let l2 = match l2 {
+            Some(l2) => {
+                l2.reset(self.config.l2).expect("validated geometry");
+                l2
             }
             None => {
-                let mut frontend = FrontEnd::new(self.config.frontend);
-                self.run_core(
-                    source,
-                    prefetcher,
-                    options.warmup_instrs,
-                    &mut frontend,
-                    probe,
-                )
+                fresh_l2 = L2Model::new(self.config.l2).expect("validated geometry");
+                &mut fresh_l2
             }
-        }
+        };
+        self.run_core(source, prefetcher, warmup_instrs, frontend, l2, probe)
     }
 
     fn run_core<P: Prefetcher, S: InstrSource, Pr: Probe>(
@@ -243,10 +271,11 @@ impl Engine {
         prefetcher: P,
         warmup_instrs: usize,
         frontend: &mut FrontEnd,
+        l2: &mut L2Model,
         probe: &mut Pr,
     ) -> RunReport {
         frontend.reset_stats();
-        let mut state = EngineState::new(&self.config, prefetcher, probe);
+        let mut state = EngineState::new(&self.config, prefetcher, l2, probe);
         let mut warm = warmup_instrs == 0;
         let mut retired: usize = 0;
         // Events are dispatched straight from the front end into
@@ -276,7 +305,7 @@ struct EngineState<'p, P, Pr> {
     /// enabled (drives periodic prefetcher-gauge sampling).
     gauge_tick: u64,
     icache: InstructionCache,
-    l2: L2Model,
+    l2: &'p mut L2Model,
     queue: PrefetchQueue,
     timing: TimingModel,
     fetch: FetchStats,
@@ -289,14 +318,14 @@ struct EngineState<'p, P, Pr> {
 }
 
 impl<'p, P: Prefetcher, Pr: Probe> EngineState<'p, P, Pr> {
-    fn new(config: &EngineConfig, prefetcher: P, probe: &'p mut Pr) -> Self {
+    fn new(config: &EngineConfig, prefetcher: P, l2: &'p mut L2Model, probe: &'p mut Pr) -> Self {
         let perfect = prefetcher.is_perfect();
         EngineState {
             prefetcher,
             probe,
             gauge_tick: 0,
             icache: InstructionCache::new(config.icache).expect("validated geometry"),
-            l2: L2Model::new(config.l2).expect("validated geometry"),
+            l2,
             queue: PrefetchQueue::default(),
             timing: TimingModel::new(config.timing),
             fetch: FetchStats::default(),

@@ -8,7 +8,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use pif_types::{BlockAddr, RetiredInstr, TrapLevel};
+use pif_types::{BlockAddr, InstrFeed, RetiredInstr, TrapLevel};
 
 use crate::cache::{AccessOutcome, InstructionCache};
 use crate::config::EngineConfig;
@@ -292,11 +292,13 @@ pub fn evaluate_stream_coverage(
 
 /// As [`evaluate_stream_coverage`], with an explicit warmup prefix (in
 /// retired instructions) during which streams are recorded and the cache
-/// simulated, but coverage is not measured.
+/// simulated, but coverage is not measured. The trace is any
+/// [`InstrFeed`]: a slice, or a workload generator's feed, in which case
+/// the study never holds the trace.
 pub fn evaluate_stream_coverage_warmup(
     config: &EngineConfig,
     predictor_config: TemporalPredictorConfig,
-    trace: &[RetiredInstr],
+    feed: impl InstrFeed,
     warmup_instrs: usize,
 ) -> StreamCoverageReport {
     let mut icache = InstructionCache::new(config.icache).expect("valid icache");
@@ -391,13 +393,15 @@ pub fn evaluate_stream_coverage_warmup(
         }
     };
 
-    for (i, &instr) in trace.iter().enumerate() {
-        let counting = i >= warmup_instrs;
+    let mut retired = 0;
+    feed.feed(|instr| {
+        let counting = retired >= warmup_instrs;
+        retired += 1;
         frontend.step(instr, |e| events.push(e));
         for e in events.drain(..) {
             handle(e, counting, &mut icache, &mut covered, &mut total_misses);
         }
-    }
+    });
     frontend.flush(|e| events.push(e));
     for e in events.drain(..) {
         handle(e, true, &mut icache, &mut covered, &mut total_misses);

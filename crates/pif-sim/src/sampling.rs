@@ -31,6 +31,7 @@ use std::path::Path;
 use pif_types::rng::splitmix64;
 use pif_types::{InstrSource, RetiredInstr};
 
+use crate::cache::L2Model;
 use crate::config::EngineConfig;
 use crate::engine::{Engine, RunOptions, RunReport};
 use crate::frontend::FrontEnd;
@@ -555,12 +556,17 @@ where
 /// through windows in file order and therefore cannot be decomposed this
 /// way; callers should check [`SamplingPlan::windows_independent`] and
 /// fall back to [`run_sampled`].
+///
+/// The window simulates its L2 in `l2`, reset in place
+/// ([`RunOptions::l2`]), with the result a fresh model gives: a caller
+/// that runs many windows on one thread keeps one model for all of them.
 pub fn run_one_window<P: Prefetcher, S: InstrSource>(
     config: &EngineConfig,
     plan: &SamplingPlan,
     window: SampleWindow,
     source: S,
     prefetcher: P,
+    l2: &mut L2Model,
 ) -> SampleResult {
     let engine = Engine::new(plan.engine_config(config));
     let bounded = Bounded {
@@ -570,7 +576,9 @@ pub fn run_one_window<P: Prefetcher, S: InstrSource>(
     let report = engine.run(
         bounded,
         prefetcher,
-        RunOptions::new().warmup(window.warmup_instrs as usize),
+        RunOptions::new()
+            .warmup(window.warmup_instrs as usize)
+            .l2(l2),
     );
     SampleResult { window, report }
 }
@@ -826,6 +834,7 @@ mod tests {
                 window,
                 trace[window.warmup_start as usize..].iter().copied(),
                 NoPrefetcher,
+                &mut L2Model::new(config.l2).unwrap(),
             );
             assert_eq!(got.window, expect.window);
             assert_eq!(got.report, expect.report);
@@ -858,6 +867,7 @@ mod tests {
                     w,
                     trace[w.warmup_start as usize..].iter().copied(),
                     NoPrefetcher,
+                    &mut L2Model::new(config.l2).unwrap(),
                 )
             })
             .collect();

@@ -46,5 +46,5 @@ pub use address::{Address, BlockAddr, BLOCK_SHIFT, BLOCK_SIZE};
 pub use error::ConfigError;
 pub use record::{BranchInfo, BranchKind, FetchAccess, FetchKind, RetiredInstr};
 pub use region::{RegionBits, RegionGeometry, SpatialRegionRecord};
-pub use source::InstrSource;
+pub use source::{InstrFeed, InstrSource};
 pub use trap::TrapLevel;

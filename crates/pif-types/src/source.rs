@@ -57,6 +57,46 @@ impl<I: Iterator<Item = RetiredInstr>> InstrSource for I {
     }
 }
 
+/// A push-based stream of retired instructions: the producer drives, and
+/// hands every record to a sink in order.
+///
+/// A recursive producer — the workload executor walks call graphs on its
+/// own stack — cannot be pulled from without a thread and a channel, but
+/// it can push. Trace walks that take an `InstrFeed` therefore run
+/// straight off the generator, with no trace in memory, and a slice is a
+/// feed too.
+///
+/// # Example
+///
+/// ```
+/// use pif_types::{Address, InstrFeed, RetiredInstr, TrapLevel};
+///
+/// let trace = [RetiredInstr::simple(Address::new(0x40), TrapLevel::Tl0); 3];
+/// let feed = &trace[..];
+/// assert_eq!(feed.instr_count(), 3);
+/// let mut n = 0;
+/// feed.feed(|_| n += 1);
+/// assert_eq!(n, 3);
+/// ```
+pub trait InstrFeed {
+    /// The number of instructions [`InstrFeed::feed`] pushes.
+    fn instr_count(&self) -> usize;
+
+    /// Pushes every instruction into `sink`, in order.
+    fn feed(self, sink: impl FnMut(RetiredInstr));
+}
+
+impl InstrFeed for &[RetiredInstr] {
+    fn instr_count(&self) -> usize {
+        self.len()
+    }
+
+    #[inline]
+    fn feed(self, sink: impl FnMut(RetiredInstr)) {
+        self.iter().copied().for_each(sink);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -48,7 +48,7 @@ mod trace;
 
 pub use executor::Executor;
 pub use params::GeneratorParams;
-pub use profiles::{WorkloadClass, WorkloadProfile};
+pub use profiles::{GeneratedFeed, WorkloadClass, WorkloadProfile};
 pub use program::{CallGraphStats, FunctionLayout, ProgramImage, Site};
 pub use stream::TraceStream;
 pub use trace::{Trace, TraceStats};

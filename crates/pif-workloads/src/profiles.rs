@@ -20,6 +20,7 @@ use crate::executor::Executor;
 use crate::params::GeneratorParams;
 use crate::program::ProgramImage;
 use crate::trace::Trace;
+use pif_types::InstrFeed;
 
 /// Workload class, as grouped in the paper's figures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -370,6 +371,18 @@ impl WorkloadProfile {
         Executor::with_execution_seed(&image, &self.params, offset).run_into(instructions, sink);
     }
 
+    /// The trace [`WorkloadProfile::generate_with_execution_seed`] would
+    /// materialize, as a [`pif_types::InstrFeed`] that generates it while
+    /// a walk consumes it: the feed pushes exactly those records, and no
+    /// trace is ever held in memory.
+    pub fn feed_with_execution_seed(&self, instructions: usize, offset: u64) -> GeneratedFeed<'_> {
+        GeneratedFeed {
+            profile: self,
+            instructions,
+            offset,
+        }
+    }
+
     /// Returns a lazily-generating instruction iterator: generation runs
     /// on a background thread feeding a bounded channel, so memory stays
     /// flat no matter how long the trace is. Being an
@@ -392,6 +405,26 @@ impl WorkloadProfile {
     /// Generates the program image alone (for structural studies).
     pub fn image(&self) -> ProgramImage {
         ProgramImage::generate(&self.params).expect("profile parameters are valid")
+    }
+}
+
+/// A workload's generated trace as a push-based [`InstrFeed`], made by
+/// [`WorkloadProfile::feed_with_execution_seed`].
+#[derive(Debug, Clone, Copy)]
+pub struct GeneratedFeed<'a> {
+    profile: &'a WorkloadProfile,
+    instructions: usize,
+    offset: u64,
+}
+
+impl InstrFeed for GeneratedFeed<'_> {
+    fn instr_count(&self) -> usize {
+        self.instructions
+    }
+
+    fn feed(self, sink: impl FnMut(pif_types::RetiredInstr)) {
+        self.profile
+            .generate_with_execution_seed_into(self.instructions, self.offset, sink);
     }
 }
 
