@@ -1,8 +1,9 @@
 //! `perfbench` — end-to-end engine throughput harness.
 //!
-//! Measures retired instructions per second of wall-clock time for the
+//! Measures simulated instructions per second of wall-clock time for the
 //! simulation engine with every prefetcher (None, PIF, Next-Line, TIFS,
-//! Discontinuity, Perfect) on standard workload profiles, and writes the
+//! Discontinuity, Perfect) on standard workload profiles, plus the
+//! sampled-simulation path for None and PIF on OLTP-DB2, and writes the
 //! result as `BENCH_engine.json` — one point of the repository's tracked
 //! performance trajectory.
 //!
@@ -10,27 +11,14 @@
 //! cargo run --release -p pif-bench --bin perfbench            # full run, writes BENCH_engine.json
 //! cargo run --release -p pif-bench --bin perfbench -- --smoke # CI mode: small trace, floor check
 //! cargo run --release -p pif-bench --bin perfbench -- --out /tmp/b.json
-//! cargo run --release -p pif-bench --bin perfbench -- --sampled   # sampled-vs-exhaustive comparison
-//! cargo run --release -p pif-bench --bin perfbench -- --aggregate # + parallel fan-out rows
 //! ```
 //!
-//! `--sampled` switches to the sampled-simulation comparison: the
-//! workload is recorded to a compressed trace file once, then simulated
-//! both exhaustively (streaming the whole file) and via
-//! `pif_sim::sampling::sample_trace_file` (seeking only the sampled
-//! windows), printing wall-clock speedup and whether the sampled UIPC
-//! estimate lands within its own reported ci95 of the exhaustive value.
-//! Combine with `--smoke` for a small CI-sized trace.
-//!
-//! `--aggregate` additionally measures **parallel sampled execution**:
-//! the workload is recorded to a trace file, a per-window sampling plan
-//! is fanned out on a `pif_lab::Pool` at several thread counts via
-//! `pif_lab::sampled::sample_trace_file_parallel`, and each fan-out's
-//! aggregate simulated instructions per wall-clock second (warmup
-//! included — it is work the fan-out performs) lands in the report's
-//! `"aggregate"` array. The parallel report is asserted byte-equal to
-//! the serial one before any row is recorded, so a throughput number
-//! can never come from a run that changed the results.
+//! The sampled rows (`None-sampled`, `PIF-sampled`) time the windows of
+//! a per-window sampling plan shaped like `pif-lab`'s sampled cells, run
+//! one after another by `pif_sim::sampling::run_one_window` on one
+//! reused L2 — the path a sampled cell's windows take on one pool
+//! thread. Their throughput counts every simulated instruction, warm-up
+//! included.
 //!
 //! In `--smoke` mode the harness runs a reduced trace and fails (exit 1)
 //! if the no-prefetch engine's throughput drops more than 30% below the
@@ -44,84 +32,92 @@ use std::time::Instant;
 
 use pif_baselines::{DiscontinuityPrefetcher, NextLinePrefetcher, PerfectICache, Tifs};
 use pif_bench::report::{
-    host_cores, none_ips, render_json, smoke_passed, smoke_threshold_ips, validate_engine_report,
-    validate_json, AggregateResult, RunResult, PRIOR_NONE_IPS, PRIOR_PIF_IPS, SMOKE_FLOOR_IPS,
+    none_ips, render_json, smoke_passed, smoke_threshold_ips, validate_engine_report,
+    validate_json, RunResult, PRIOR_NONE_IPS, PRIOR_PIF_IPS, SMOKE_FLOOR_IPS,
 };
 use pif_core::{Pif, PifConfig};
-use pif_sim::{Engine, EngineConfig, EngineProbe, NoPrefetcher, RunOptions};
+use pif_obs::json::Json;
+use pif_sim::cache::L2Model;
+use pif_sim::sampling::{assemble_report, run_one_window, SamplingPlan, WarmStrategy};
+use pif_sim::{Engine, EngineConfig, EngineProbe, NoPrefetcher, Prefetcher, RunOptions};
 use pif_types::RetiredInstr;
 use pif_workloads::WorkloadProfile;
 
-fn measure(
-    engine: &Engine,
-    workload: &str,
-    trace: &[RetiredInstr],
-    warmup: usize,
-    reps: usize,
-) -> Vec<RunResult> {
-    let mut out = Vec::new();
-    let mut run = |name: &'static str, f: &mut dyn FnMut() -> pif_sim::RunReport| {
-        // Best-of-N wall clock: robust against scheduler noise.
-        let mut best = f64::MAX;
-        let mut report = None;
-        for _ in 0..reps {
+/// One timed row: its prefetcher label and a run that returns the run's
+/// simulated instructions and UIPC.
+type Row<'a> = (&'static str, Box<dyn FnMut() -> (u64, f64) + 'a>);
+
+/// Times `rows` best-of-`reps` in rounds, one run of every row per
+/// round: a burst of host noise then slows one round of every row, which
+/// best-of-N discards, rather than every run of one row.
+fn time_rows(workload: &str, mut rows: Vec<Row<'_>>, reps: usize) -> Vec<RunResult> {
+    let mut best = vec![(f64::MAX, 0, 0.0); rows.len()];
+    for _ in 0..reps {
+        for ((_, run), best) in rows.iter_mut().zip(&mut best) {
             let t0 = Instant::now();
-            let r = f();
-            best = best.min(t0.elapsed().as_secs_f64());
-            report = Some(r);
+            let (instructions, uipc) = run();
+            *best = (best.0.min(t0.elapsed().as_secs_f64()), instructions, uipc);
         }
-        let report = report.expect("at least one rep");
-        out.push(RunResult {
-            workload: workload.to_string(),
-            prefetcher: name,
-            instructions: report.frontend.instructions,
-            elapsed_s: best,
-            uipc: report.timing.uipc(),
-        });
+    }
+    rows.iter()
+        .zip(best)
+        .map(
+            |(&(prefetcher, _), (elapsed_s, instructions, uipc))| RunResult {
+                workload: workload.to_string(),
+                prefetcher,
+                instructions,
+                elapsed_s,
+                uipc,
+            },
+        )
+        .collect()
+}
+
+/// An exhaustive row: one engine run over the whole trace.
+fn engine_row<'a, P: Prefetcher>(
+    name: &'static str,
+    engine: &'a Engine,
+    trace: &'a [RetiredInstr],
+    warmup: usize,
+    mk: impl Fn() -> P + 'a,
+) -> Row<'a> {
+    let run = move || {
+        let report = engine.run(
+            trace.iter().copied(),
+            mk(),
+            RunOptions::new().warmup(warmup),
+        );
+        (report.frontend.instructions, report.timing.uipc())
     };
-    run("None", &mut || {
-        engine.run(
-            trace.iter().copied(),
-            NoPrefetcher,
-            RunOptions::new().warmup(warmup),
-        )
-    });
-    run("PIF", &mut || {
-        engine.run(
-            trace.iter().copied(),
-            Pif::new(PifConfig::paper_default()),
-            RunOptions::new().warmup(warmup),
-        )
-    });
-    run("Next-Line", &mut || {
-        engine.run(
-            trace.iter().copied(),
-            NextLinePrefetcher::aggressive(),
-            RunOptions::new().warmup(warmup),
-        )
-    });
-    run("TIFS", &mut || {
-        engine.run(
-            trace.iter().copied(),
-            Tifs::new(Default::default()),
-            RunOptions::new().warmup(warmup),
-        )
-    });
-    run("Discontinuity", &mut || {
-        engine.run(
-            trace.iter().copied(),
-            DiscontinuityPrefetcher::paper_scale(),
-            RunOptions::new().warmup(warmup),
-        )
-    });
-    run("Perfect", &mut || {
-        engine.run(
-            trace.iter().copied(),
-            PerfectICache,
-            RunOptions::new().warmup(warmup),
-        )
-    });
-    out
+    (name, Box::new(run))
+}
+
+/// The exhaustive rows: every prefetcher over the whole trace.
+fn engine_rows<'a>(engine: &'a Engine, trace: &'a [RetiredInstr], warmup: usize) -> Vec<Row<'a>> {
+    vec![
+        engine_row("None", engine, trace, warmup, || NoPrefetcher),
+        engine_row("PIF", engine, trace, warmup, || {
+            Pif::new(PifConfig::paper_default())
+        }),
+        engine_row(
+            "Next-Line",
+            engine,
+            trace,
+            warmup,
+            NextLinePrefetcher::aggressive,
+        ),
+        engine_row("TIFS", engine, trace, warmup, || {
+            Tifs::new(Default::default())
+        }),
+        engine_row(
+            "Discontinuity",
+            engine,
+            trace,
+            warmup,
+            DiscontinuityPrefetcher::paper_scale,
+        ),
+        engine_row("Perfect", engine, trace, warmup, || PerfectICache),
+    ]
 }
 
 /// Measures the wall-clock cost of running the engine with a live
@@ -162,303 +158,57 @@ fn measure_probe_overhead(
     (probed_s - plain_s) / plain_s * 100.0
 }
 
-/// The plain half of the failpoint-erasure pair: an integer-mixing hot
-/// loop with a serial data dependency, `#[inline(never)]` so the two
-/// halves compile as separate functions and `black_box` so neither folds
-/// to a constant.
-#[inline(never)]
-fn mix_loop_plain(iters: u64) -> u64 {
-    let mut acc = 0x9e37_79b9_7f4a_7c15u64;
-    for i in 0..iters {
-        acc = acc
-            .wrapping_mul(0x2545_f491_4f6c_dd1d)
-            .wrapping_add(std::hint::black_box(i));
-    }
-    acc
-}
+/// Measured instructions per window of the sampled rows, the same in
+/// smoke and full runs: per-window costs (engine and prefetcher
+/// construction, the L2 reset) weigh more the smaller the window, so a
+/// window that scaled with the run would make smoke rows incomparable to
+/// the full-run baseline the trend gate checks them against.
+const SAMPLED_MEASURE_INSTRS: u64 = 8_000;
 
-/// The instrumented half: byte-identical to [`mix_loop_plain`] except
-/// for a `fail_point!` per iteration. In the default build the macro
-/// expands to nothing, so any measured difference between the halves is
-/// residual noise — that near-zero percentage is the erasure proof the
-/// report carries as `failpoint_overhead_pct`.
-#[inline(never)]
-fn mix_loop_failpointed(iters: u64) -> u64 {
-    let mut acc = 0x9e37_79b9_7f4a_7c15u64;
-    for i in 0..iters {
-        pif_fail::fail_point!("bench.mix.iter");
-        acc = acc
-            .wrapping_mul(0x2545_f491_4f6c_dd1d)
-            .wrapping_add(std::hint::black_box(i));
-    }
-    acc
-}
+/// Windows per sampled row, in smoke and full runs alike.
+const SAMPLED_WINDOWS: usize = 16;
 
-/// Measures the wall-clock cost of the failpointed hot loop relative to
-/// the plain one, in percent. Same discipline as
-/// [`measure_probe_overhead`]: interleaved within each rep, best-of-N
-/// per side. With `fail-inject` off (the default) this quantifies the
-/// compile-time erasure guarantee; with it on, the armed-but-idle cost.
-fn measure_failpoint_overhead(reps: usize) -> f64 {
-    const ITERS: u64 = 10_000_000;
-    let reps = reps.max(7);
-    let mut plain_s = f64::MAX;
-    let mut failpointed_s = f64::MAX;
-    let mut sink = 0u64;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        sink ^= mix_loop_plain(ITERS);
-        plain_s = plain_s.min(t0.elapsed().as_secs_f64());
-
-        let t1 = Instant::now();
-        sink ^= mix_loop_failpointed(ITERS);
-        failpointed_s = failpointed_s.min(t1.elapsed().as_secs_f64());
-    }
-    std::hint::black_box(sink);
-    (failpointed_s - plain_s) / plain_s * 100.0
-}
-
-/// One prefetcher's sampled-vs-exhaustive comparison (`--sampled` mode):
-/// both runs drive the same on-disk trace; the sampled run decodes only
-/// its windows.
-fn compare_sampled<P: pif_sim::Prefetcher>(
-    engine: &Engine,
-    path: &std::path::Path,
-    plan: &pif_sim::sampling::SamplingPlan,
-    warmup: usize,
-    mut mk: impl FnMut() -> P,
-) -> (f64, f64, pif_sim::multicore::Summary, f64) {
-    let t0 = Instant::now();
-    let file = std::fs::File::open(path).expect("trace file exists");
-    let mut source = pif_trace::TraceReader::open(std::io::BufReader::new(file))
-        .expect("trace opens")
-        .instrs();
-    let exhaustive = engine.run(&mut source, mk(), RunOptions::new().warmup(warmup));
-    assert!(source.error().is_none(), "clean exhaustive decode");
-    let exhaustive_s = t0.elapsed().as_secs_f64();
-
-    let t1 = Instant::now();
-    let sampled = pif_sim::sampling::sample_trace_file(engine.config(), plan, path, |_| mk())
-        .expect("sampled run decodes");
-    let sampled_s = t1.elapsed().as_secs_f64();
-    (
-        exhaustive.timing.uipc(),
-        exhaustive_s,
-        sampled.uipc(),
-        sampled_s,
-    )
-}
-
-fn run_sampled_mode(smoke: bool) {
-    let instructions: usize = if smoke { 500_000 } else { 10_000_000 };
-    let profile = if smoke {
-        WorkloadProfile::oltp_db2().scaled(0.1)
-    } else {
-        WorkloadProfile::oltp_db2()
-    };
-    let path = std::env::temp_dir().join(format!("perfbench-sampled-{}.pift", std::process::id()));
-    eprintln!(
-        "perfbench --sampled: recording {} × {instructions} instrs to {}",
-        profile.name(),
-        path.display()
-    );
-    let file = std::fs::File::create(&path).expect("temp trace writable");
-    let mut writer = pif_trace::TraceWriter::new(std::io::BufWriter::new(file), profile.name())
-        .expect("writer opens");
-    let mut io_err = None;
-    profile.generate_into(instructions, |instr| {
-        if io_err.is_none() {
-            io_err = writer.push(&instr).err();
-        }
-    });
-    assert!(io_err.is_none(), "{io_err:?}");
-    writer.finish().expect("trace seals");
-
-    let engine = Engine::new(EngineConfig::paper_default());
-    let warmup = instructions * 3 / 10;
-    let measure = (instructions as u64 / 500).max(1_000);
-    let plan =
-        pif_sim::sampling::SamplingPlan::random(30, 0x9a3f, 3 * measure, measure).with_burn_in(6);
-    println!(
-        "plan: {} samples × ({} warmup + {} measure), burn-in {}, over {instructions} instrs",
-        plan.samples, plan.warmup_instrs, plan.measure_instrs, plan.burn_in
-    );
-    println!(
-        "{:<14} {:>9} {:>8}  {:>9} {:>9} {:>8}  {:>7}  WITHIN_CI95",
-        "PREFETCHER", "EX_UIPC", "EX_S", "S_MEAN", "S_CI95", "S_S", "SPEEDUP"
-    );
-    let run = |name: &str, result: (f64, f64, pif_sim::multicore::Summary, f64)| {
-        let (ex_uipc, ex_s, s, s_s) = result;
-        let within = (s.mean - ex_uipc).abs() <= s.ci95;
-        println!(
-            "{name:<14} {ex_uipc:>9.4} {ex_s:>8.3}  {:>9.4} {:>9.4} {s_s:>8.3}  {:>6.1}x  {within}",
-            s.mean,
-            s.ci95,
-            ex_s / s_s.max(1e-9),
-        );
-    };
-    run(
-        "None",
-        compare_sampled(&engine, &path, &plan, warmup, || NoPrefetcher),
-    );
-    run(
-        "PIF",
-        compare_sampled(&engine, &path, &plan, warmup, || {
-            Pif::new(PifConfig::paper_default())
-        }),
-    );
-    run(
-        "Next-Line",
-        compare_sampled(
-            &engine,
-            &path,
-            &plan,
-            warmup,
-            NextLinePrefetcher::aggressive,
-        ),
-    );
-    run(
-        "TIFS",
-        compare_sampled(&engine, &path, &plan, warmup, || {
-            Tifs::new(Default::default())
-        }),
-    );
-    run(
-        "Discontinuity",
-        compare_sampled(
-            &engine,
-            &path,
-            &plan,
-            warmup,
-            DiscontinuityPrefetcher::paper_scale,
-        ),
-    );
-    run(
-        "Perfect",
-        compare_sampled(&engine, &path, &plan, warmup, || PerfectICache),
-    );
-    std::fs::remove_file(&path).ok();
-}
-
-/// Thread counts the aggregate mode sweeps. Recorded verbatim in the
-/// report's `threads` field, so a trend comparison always matches rows
-/// at the same fan-out width.
-const AGGREGATE_THREADS: &[usize] = &[1, 2, 4, 8];
-
-/// Measured instructions per sample window in the aggregate mode, fixed
-/// across smoke and full runs. Per-window fixed costs (cache re-warm,
-/// dispatch) dominate throughput at small windows, so letting the window
-/// size scale with the run length would make smoke rows incomparable to
-/// the committed full-mode baseline the trend gate checks them against.
-const AGGREGATE_MEASURE_INSTRS: u64 = 8_000;
-
-/// Measures parallel sampled-execution throughput (`--aggregate`): a
-/// per-window plan over an on-disk trace, fanned out at each width in
-/// [`AGGREGATE_THREADS`] for the no-prefetch and PIF configurations.
-/// Every fan-out's report is asserted equal to the serial driver's
-/// before its timing is kept — the determinism contract is load-bearing
-/// for the numbers, not just a test elsewhere.
-fn run_aggregate_mode(smoke: bool) -> Vec<AggregateResult> {
-    use pif_lab::sampled::sample_trace_file_parallel;
-    use pif_lab::Pool;
-    use pif_sim::sampling::{sample_trace_file, SamplingPlan, WarmStrategy};
-
-    let instructions: usize = if smoke { 400_000 } else { 4_000_000 };
-    let profile = if smoke {
-        WorkloadProfile::oltp_db2().scaled(0.1)
-    } else {
-        WorkloadProfile::oltp_db2().scaled(0.2)
-    };
-    let path =
-        std::env::temp_dir().join(format!("perfbench-aggregate-{}.pift", std::process::id()));
-    eprintln!(
-        "perfbench --aggregate: recording {} × {instructions} instrs to {}",
-        profile.name(),
-        path.display()
-    );
-    let file = std::fs::File::create(&path).expect("temp trace writable");
-    let mut writer = pif_trace::TraceWriter::new(std::io::BufWriter::new(file), profile.name())
-        .expect("writer opens");
-    let mut io_err = None;
-    profile.generate_into(instructions, |instr| {
-        if io_err.is_none() {
-            io_err = writer.push(&instr).err();
-        }
-    });
-    assert!(io_err.is_none(), "{io_err:?}");
-    writer.finish().expect("trace seals");
-
-    let config = EngineConfig::paper_default();
-    let measure = AGGREGATE_MEASURE_INSTRS;
-    let samples = if smoke { 12 } else { 30 };
-    let plan = SamplingPlan::random(samples, 0x9a3f, 3 * measure, measure)
+/// A sampled row: the windows of a per-window plan shaped like
+/// `pif-lab`'s sampled cells (random windows, warm-up twice the
+/// measurement, as much extra warm-up again per window), run in order,
+/// each on a fresh prefetcher from `mk` and on the row's one L2, reset in
+/// place per window. It reports every simulated instruction, warm-up
+/// included, and the mean UIPC over windows.
+fn sampled_row<'a, P: Prefetcher>(
+    name: &'static str,
+    config: &'a EngineConfig,
+    trace: &'a [RetiredInstr],
+    mk: impl Fn() -> P + 'a,
+) -> Row<'a> {
+    let warmup = 2 * SAMPLED_MEASURE_INSTRS;
+    let plan = SamplingPlan::random(SAMPLED_WINDOWS, 0x9a3f, warmup, SAMPLED_MEASURE_INSTRS)
         .with_warm_strategy(WarmStrategy::PerWindow {
-            extra_warmup_instrs: measure,
-        })
-        .with_burn_in(if smoke { 2 } else { 6 });
-    // Simulated work per fan-out: every window end to end, warmup
-    // included — that is what the workers execute.
-    let all_windows = plan.windows(instructions as u64);
-    let simulated: u64 = all_windows.iter().map(|w| w.len()).sum();
-    let windows = all_windows.len();
-    println!(
-        "aggregate plan: {windows} windows × ({} warmup + {} measure) = {simulated} simulated instrs",
-        plan.effective_warmup_instrs(),
-        plan.measure_instrs,
-    );
-
-    let mut out = Vec::new();
-    let mut sweep = |name: &'static str, mk: &(dyn Fn() -> Box<dyn pif_sim::Prefetcher> + Sync)| {
-        let t0 = Instant::now();
-        let serial =
-            sample_trace_file(&config, &plan, &path, |_| mk()).expect("serial sampled run decodes");
-        let serial_s = t0.elapsed().as_secs_f64();
-        for &threads in AGGREGATE_THREADS {
-            let pool = Pool::new(threads);
-            let t1 = Instant::now();
-            let parallel = sample_trace_file_parallel(&config, &plan, &path, |_| mk(), &pool)
-                .expect("parallel sampled run decodes");
-            let elapsed_s = t1.elapsed().as_secs_f64();
-            assert_eq!(
-                parallel, serial,
-                "{name}@{threads}: parallel report must equal serial before its timing counts"
-            );
-            let row = AggregateResult {
-                workload: profile.name().to_string(),
-                prefetcher: name,
-                threads,
-                windows,
-                instructions: simulated,
-                elapsed_s,
-                serial_elapsed_s: serial_s,
-            };
-            println!(
-                "{:<12} {name:<6} threads={threads}  {:>8.2} Minstr/s aggregate  ({:.3}s, speedup {:.2}x)",
-                row.workload,
-                row.aggregate_ips() / 1e6,
-                row.elapsed_s,
-                row.parallel_speedup(),
-            );
-            out.push(row);
-        }
+            extra_warmup_instrs: warmup,
+        });
+    let total = trace.len() as u64;
+    let windows = plan.windows(total);
+    let mut l2 = L2Model::new(config.l2).expect("paper L2 geometry is valid");
+    let run = move || {
+        let samples = windows
+            .iter()
+            .map(|&w| {
+                let source = trace[w.warmup_start as usize..].iter().copied();
+                run_one_window(config, &plan, w, source, mk(), &mut l2)
+            })
+            .collect();
+        let report = assemble_report(&plan, total, samples);
+        (report.simulated_instructions(), report.uipc().mean)
     };
-    sweep("None", &|| Box::new(NoPrefetcher));
-    sweep("PIF", &|| Box::new(Pif::new(PifConfig::paper_default())));
-    std::fs::remove_file(&path).ok();
-    out
+    (name, Box::new(run))
 }
 
 fn main() {
     let mut smoke = false;
-    let mut sampled = false;
-    let mut aggregate = false;
     let mut out_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--sampled" => sampled = true,
-            "--aggregate" => aggregate = true,
             "--out" => {
                 out_path = Some(args.next().unwrap_or_else(|| {
                     eprintln!("--out requires a path");
@@ -467,56 +217,49 @@ fn main() {
             }
             other => {
                 eprintln!("unknown argument: {other}");
-                eprintln!("usage: perfbench [--smoke] [--sampled] [--aggregate] [--out PATH]");
+                eprintln!("usage: perfbench [--smoke] [--out PATH]");
                 std::process::exit(2);
             }
         }
     }
-    if sampled {
-        run_sampled_mode(smoke);
-        return;
-    }
 
-    let (instructions, reps, profiles) = if smoke {
-        (300_000, 1, vec![WorkloadProfile::oltp_db2().scaled(0.1)])
+    let (instructions, profiles) = if smoke {
+        (300_000, vec![WorkloadProfile::oltp_db2().scaled(0.1)])
     } else {
         (
             2_000_000,
-            3,
             vec![
                 WorkloadProfile::oltp_db2().scaled(0.2),
                 WorkloadProfile::web_apache().scaled(0.2),
             ],
         )
     };
+    // Best-of-N in smoke runs too: a single shot pits a cold first run
+    // against the baseline's best.
+    let reps = 5;
     let warmup = instructions / 5;
 
-    let engine = Engine::new(EngineConfig::paper_default());
+    let config = EngineConfig::paper_default();
+    let engine = Engine::new(config);
     let mut results = Vec::new();
     let mut probe_overhead_pct = None;
     for (i, profile) in profiles.iter().enumerate() {
         eprintln!(
-            "perfbench: {} × {} instrs ({} rep{})",
-            profile.name(),
-            instructions,
-            reps,
-            if reps == 1 { "" } else { "s" }
+            "perfbench: {} × {instructions} instrs (best of {reps})",
+            profile.name()
         );
         let trace = profile.generate(instructions);
-        results.extend(measure(
-            &engine,
-            profile.name(),
-            trace.instrs(),
-            warmup,
-            reps,
-        ));
+        let trace = trace.instrs();
+        let mut rows = engine_rows(&engine, trace, warmup);
         if i == 0 {
-            probe_overhead_pct = Some(measure_probe_overhead(
-                &engine,
-                trace.instrs(),
-                warmup,
-                reps,
-            ));
+            rows.push(sampled_row("None-sampled", &config, trace, || NoPrefetcher));
+            rows.push(sampled_row("PIF-sampled", &config, trace, || {
+                Pif::new(PifConfig::paper_default())
+            }));
+        }
+        results.extend(time_rows(profile.name(), rows, reps));
+        if i == 0 {
+            probe_overhead_pct = Some(measure_probe_overhead(&engine, trace, warmup, reps));
         }
     }
 
@@ -554,44 +297,18 @@ fn main() {
         );
     }
 
-    // Compute the floor verdict BEFORE writing anything: the artifact
-    // must carry the verdict, and a failing run must never leave a
-    // passing-looking report on disk.
     if let Some(pct) = probe_overhead_pct {
         println!(
             "probe overhead (live EngineProbe vs NoProbe, PIF on {}): {pct:.2}%",
             profiles[0].name()
         );
     }
-    let failpoint_overhead_pct = Some(measure_failpoint_overhead(reps));
-    if let Some(pct) = failpoint_overhead_pct {
-        println!(
-            "failpoint overhead (fail_point! {} vs plain hot loop): {pct:.2}%",
-            if cfg!(feature = "fail-inject") {
-                "armed"
-            } else {
-                "erased"
-            }
-        );
-    }
 
-    let aggregates = if aggregate {
-        run_aggregate_mode(smoke)
-    } else {
-        Vec::new()
-    };
-
+    // Compute the floor verdict BEFORE writing anything: the artifact
+    // must carry the verdict, and a failing run must never leave a
+    // passing-looking report on disk.
     let verdict = smoke.then(|| smoke_passed(gated_ips));
-    let json = render_json(
-        &results,
-        &aggregates,
-        instructions,
-        smoke,
-        verdict,
-        probe_overhead_pct,
-        failpoint_overhead_pct,
-        host_cores(),
-    );
+    let json = render_json(&results, instructions, smoke, verdict, probe_overhead_pct);
     if let Err(e) = validate_json(&json) {
         eprintln!("perfbench: emitted invalid JSON: {e}");
         std::process::exit(1);
@@ -611,10 +328,10 @@ fn main() {
         std::process::exit(1);
     }
     // Re-read and re-validate: proves the artifact on disk parses and
-    // keeps the v2 structural contract (absent-or-bool verdict, numeric
+    // keeps the v3 structural contract (absent-or-bool verdict, numeric
     // throughput on every row).
     match std::fs::read_to_string(&path).map_err(|e| e.to_string()) {
-        Ok(disk) => match pif_lab::json::Json::parse(&disk) {
+        Ok(disk) => match Json::parse(&disk) {
             Ok(doc) => {
                 if let Err(e) = validate_engine_report(&doc) {
                     eprintln!("perfbench: {path} violates the engine-report schema: {e}");

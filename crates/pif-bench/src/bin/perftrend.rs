@@ -9,20 +9,15 @@
 //! [`pif_bench::report::compare_trend`]: a machine-calibration ratio
 //! (median fresh/committed throughput across matching rows) absorbs the
 //! CI-runner-vs-dev-machine speed gap, then any row falling more than
-//! 30% below its calibrated expectation — or a no-prefetch row breaching
-//! the committed absolute smoke floor — is a regression.
-//!
-//! Aggregate (parallel fan-out) rows are only compared when the host can
-//! express them: rows whose thread count exceeds this host's cores, or
-//! whose speedup was measured on a host with a different core count, are
-//! skipped and listed — see the host-portability notes in
-//! [`pif_bench::report`].
+//! 30% below its calibrated expectation — or an exhaustive no-prefetch
+//! row breaching the committed absolute smoke floor — is a regression.
+//! Every row the two reports share is compared by that one rule.
 //!
 //! Exit status: `0` trend ok, `1` regression detected, `2` usage or
 //! parse error. CI treats 1 as a failed gate and uploads both artifacts.
 
 use pif_bench::report::{compare_trend, TREND_TOLERANCE};
-use pif_lab::json::Json;
+use pif_obs::json::Json;
 
 fn load(path: &str) -> Json {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -53,9 +48,6 @@ fn main() {
         report.calibration,
         TREND_TOLERANCE * 100.0
     );
-    for s in &report.skipped {
-        println!("perftrend: skipped {s}");
-    }
     if report.passed() {
         println!("perftrend: trend ok — no row regressed past the calibrated floor");
         return;

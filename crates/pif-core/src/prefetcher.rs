@@ -8,7 +8,7 @@ use pif_types::{BlockAddr, FetchAccess, RetiredInstr, TrapLevel};
 use crate::config::PifConfig;
 use crate::history::HistoryBuffer;
 use crate::index::IndexTable;
-use crate::sab::{CompletedStream, SabPool};
+use crate::sab::SabPool;
 use crate::spatial::SpatialCompactor;
 use crate::temporal::TemporalCompactor;
 
@@ -52,7 +52,6 @@ pub struct Pif {
     config: PifConfig,
     levels: Vec<LevelState>,
     sabs: SabPool,
-    completed: Vec<CompletedStream>,
     /// Streams opened (index hits that allocated a SAB).
     streams_opened: u64,
     /// Reusable scratch for records produced by SAB advance/allocate;
@@ -76,7 +75,6 @@ impl Pif {
         Pif {
             levels: (0..levels).map(|_| LevelState::new(&config)).collect(),
             sabs: SabPool::new(config.sab_count, config.sab_window),
-            completed: Vec::new(),
             streams_opened: 0,
             records_scratch: Vec::new(),
             config,
@@ -105,15 +103,6 @@ impl Pif {
     /// Records kept in the history buffer for `level`.
     pub fn history_len(&self, level: TrapLevel) -> usize {
         self.levels[self.level_index(level)].history.len()
-    }
-
-    /// Lifetime stats of all completed (replaced) streams plus currently
-    /// active ones. Consumes the active streams; intended for end-of-run
-    /// analysis.
-    pub fn take_stream_stats(&mut self) -> Vec<CompletedStream> {
-        let mut out = std::mem::take(&mut self.completed);
-        out.extend(self.sabs.drain_completed());
-        out
     }
 }
 
@@ -175,7 +164,7 @@ impl Prefetcher for Pif {
             return; // stale pointer: record overwritten
         };
         let jump = state.history.block_position() - entry.block_position;
-        let completed = self.sabs.allocate(
+        self.sabs.allocate(
             level,
             pos,
             jump,
@@ -184,9 +173,6 @@ impl Prefetcher for Pif {
             &mut self.records_scratch,
         );
         self.streams_opened += 1;
-        if let Some(done) = completed {
-            self.completed.push(done);
-        }
         issue_region_prefetches(geometry, &self.records_scratch, ctx);
     }
 

@@ -60,12 +60,6 @@ impl HybridPredictor {
     fn chooser_index(&self, pc: Address) -> usize {
         ((pc.raw() >> 2) & self.chooser_mask) as usize
     }
-
-    /// Fraction-free access to component predictions (useful in tests and
-    /// diagnostics).
-    pub fn component_predictions(&self, pc: Address) -> (bool, bool) {
-        (self.gshare.predict(pc), self.bimodal.predict(pc))
-    }
 }
 
 impl DirectionPredictor for HybridPredictor {

@@ -151,11 +151,6 @@ impl InstructionCache {
         self.cache.probe(block).map(|m| m.provenance)
     }
 
-    /// Number of resident lines.
-    pub fn resident_blocks(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Number of resident lines that were prefetched but never demanded
     /// (pollution candidates).
     pub fn unused_prefetched_blocks(&self) -> usize {

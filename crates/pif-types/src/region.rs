@@ -224,22 +224,6 @@ impl RegionBits {
     pub const fn union(self, other: RegionBits) -> RegionBits {
         RegionBits(self.0 | other.0)
     }
-
-    /// Iterates over the set offsets in *replay order*: preceding blocks
-    /// from farthest to nearest, then succeeding blocks from nearest to
-    /// farthest — i.e. traversing the conceptual bit vector left to right as
-    /// the paper's SAB does (§4.3).
-    pub fn offsets_in_order(self, geometry: RegionGeometry) -> impl Iterator<Item = i64> {
-        let bits = self.0;
-        let prec = geometry.preceding() as i64;
-        let succ = geometry.succeeding() as i64;
-        (-prec..=succ).filter(move |&off| {
-            off != 0
-                && geometry
-                    .bit_for_offset(off)
-                    .is_some_and(|b| bits & (1 << b) != 0)
-        })
-    }
 }
 
 impl fmt::Display for RegionBits {

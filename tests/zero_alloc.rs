@@ -1,10 +1,10 @@
 //! Proof that the engine's steady-state loop is allocation-free.
 //!
 //! A counting global allocator measures the number of heap allocations a
-//! full engine run performs. Running the *same* cyclic workload for N and
-//! 2N laps must allocate (nearly) the same number of times: everything the
-//! engine allocates — caches, scratch buffers, predictor tables, queues —
-//! is set up during construction and the first laps, after which the
+//! full engine run performs. Running a workload for N and 2N laps must
+//! allocate exactly the same number of times: everything the engine
+//! allocates — caches, scratch buffers, predictor tables, queues — is set
+//! up during construction and the first laps, after which the
 //! per-retirement path runs out of fixed-capacity storage.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -12,6 +12,7 @@ use std::cell::Cell;
 
 use pif_core::{Pif, PifConfig};
 use pif_sim::{Engine, EngineConfig, NoPrefetcher, RunOptions};
+use pif_types::rng::SmallRng;
 use pif_types::{Address, RetiredInstr, TrapLevel};
 
 struct CountingAlloc;
@@ -76,6 +77,36 @@ fn sweep_trace(laps: u64) -> Vec<RetiredInstr> {
     v
 }
 
+/// 256 segments of eight consecutive blocks (2× the L1-I in all), lap
+/// `l` in the order seeded by `1_000 + l`: PIF's streams follow one lap's
+/// segment order and are replaced throughout the next, on every lap.
+///
+/// Random laps can set a new in-flight prefetch peak late, and the
+/// engine's in-flight queue grows to its peak: with seeds `l` (0–7), laps
+/// 5–8 push it from 32 to 64 entries, one more allocation that does not
+/// grow with length. Seeds 1,000–1,007 reach their peak within four laps.
+fn shuffled_segments_trace(laps: u64) -> Vec<RetiredInstr> {
+    let mut v = Vec::new();
+    for lap in 0..laps {
+        let mut order: Vec<u64> = (0..256).collect();
+        let mut rng = SmallRng::seed_from_u64(1_000 + lap);
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.gen_range(0..=i));
+        }
+        for seg in order {
+            for blk in seg * 8..seg * 8 + 8 {
+                for i in 0..16 {
+                    v.push(RetiredInstr::simple(
+                        Address::new(blk * 64 + i * 4),
+                        TrapLevel::Tl0,
+                    ));
+                }
+            }
+        }
+    }
+    v
+}
+
 #[test]
 fn engine_steady_state_is_allocation_free_without_prefetcher() {
     let engine = Engine::new(EngineConfig::paper_default());
@@ -97,8 +128,8 @@ fn engine_steady_state_is_allocation_free_without_prefetcher() {
 #[test]
 fn engine_steady_state_is_allocation_free_with_pif() {
     let engine = Engine::new(EngineConfig::paper_default());
-    let short = sweep_trace(4);
-    let long = sweep_trace(8);
+    let short = shuffled_segments_trace(4);
+    let long = shuffled_segments_trace(8);
     let a_short = allocs_during(|| {
         engine.run(
             short.iter().copied(),
@@ -113,14 +144,9 @@ fn engine_steady_state_is_allocation_free_with_pif() {
             RunOptions::new(),
         );
     });
-    // PIF's end-of-run stream-lifetime log (`completed`) legitimately
-    // grows amortized with the number of replaced streams; everything on
-    // the per-retirement path is allocation-free. 131k extra instructions
-    // may therefore add at most a handful of amortized Vec doublings.
-    let extra = a_long.saturating_sub(a_short);
-    assert!(
-        extra <= 8,
-        "steady-state PIF run allocated {extra} times over 4 extra laps \
-         ({a_short} vs {a_long})"
+    assert_eq!(
+        a_short, a_long,
+        "PIF engine allocations must not scale with trace length \
+         ({a_short} for 4 laps vs {a_long} for 8 laps)"
     );
 }
