@@ -223,8 +223,12 @@ fn main() {
         }
     }
 
+    // Smoke rows run the full run's first workload, footprint included,
+    // over a shorter trace: a smaller footprint would change each row's
+    // miss mix, and so its speed relative to the committed rows it is
+    // gated against.
     let (instructions, profiles) = if smoke {
-        (300_000, vec![WorkloadProfile::oltp_db2().scaled(0.1)])
+        (300_000, vec![WorkloadProfile::oltp_db2().scaled(0.2)])
     } else {
         (
             2_000_000,

@@ -283,6 +283,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
         if let Some(c) = &cache {
             run_opts = run_opts.cache(c);
         }
+        let before = cache.as_ref().map(ResultCache::stats).unwrap_or_default();
         let (report, stats, profile) = if opts.profile {
             let (report, stats, profile) = run_spec_profiled(&spec, &run_opts);
             (report, stats, Some(profile))
@@ -290,10 +291,15 @@ fn cmd_run(args: &[String]) -> ExitCode {
             let (report, stats) = run_spec_stats(&spec, &run_opts);
             (report, stats, None)
         };
-        if cache.is_some() && !opts.quiet {
+        if let (Some(c), false) = (&cache, opts.quiet) {
+            let after = c.stats();
             eprintln!(
-                "piflab: {} — {} cells cached, {} executed",
-                spec.name, stats.cached_cells, stats.executed_cells
+                "piflab: {} — {} cells cached, {} executed; trace hashes: {} derived, {} memoized",
+                spec.name,
+                stats.cached_cells,
+                stats.executed_cells,
+                after.hashes_derived - before.hashes_derived,
+                after.hash_memo_hits - before.hash_memo_hits
             );
         }
         let path = out_path(&opts.out, &opts.out_dir, name);
@@ -957,8 +963,9 @@ fn cmd_stats(args: &[String]) -> ExitCode {
             );
             match cache {
                 Some(c) => println!(
-                    "  cache: {} hits, {} misses ({} corrupt, {} quarantined)",
-                    c.hits, c.misses, c.corrupt, c.quarantined
+                    "  cache: {} hits, {} misses ({} corrupt, {} quarantined); \
+                     trace hashes: {} derived, {} memoized",
+                    c.hits, c.misses, c.corrupt, c.quarantined, c.hashes_derived, c.hash_memo_hits
                 ),
                 None => println!("  cache: disabled"),
             }

@@ -37,11 +37,29 @@
 //! directory segment invalidates the whole cache when the storage format
 //! itself changes. Corrupt or unreadable entries are treated as misses
 //! and re-simulated.
+//!
+//! # The trace-hash memo
+//!
+//! A synthetic workload's trace hash costs a full generation of its
+//! trace, the same work as the first half of a simulation. So each
+//! [`ResultCache`] remembers the hashes it has derived, keyed by every
+//! input of the generator: the scaled profile (name, class and every
+//! generator parameter), the instruction count and the execution seed.
+//! Within one process the same inputs always generate the same trace,
+//! which is what makes the memo safe. It is in memory only, lives as
+//! long as its cache (one per `piflab run` invocation, one per daemon),
+//! holds 8-byte hashes and never a trace, and keeps at most 1,024 of
+//! them, evicting the oldest first. A run without a cache never reaches
+//! it. Recorded workloads bypass it: their file can change on disk under
+//! the same name, so they are loaded and hashed on every run.
 
+use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use pif_trace::hash::fnv1a_64_once;
+use pif_workloads::WorkloadProfile;
 
 use crate::json::{escape, Json};
 use crate::report::Metric;
@@ -74,6 +92,68 @@ pub struct CacheStats {
     /// `corrupt`: a quarantine that itself fails leaves the file in
     /// place).
     pub quarantined: u64,
+    /// Synthetic trace hashes derived by generating the trace (memo
+    /// misses). Two workers racing on one key both count.
+    pub hashes_derived: u64,
+    /// Synthetic trace hashes answered by the in-memory memo.
+    pub hash_memo_hits: u64,
+}
+
+/// Most trace hashes one [`ResultCache`] remembers. An entry is one
+/// scaled profile plus three integers, a few hundred bytes, so a full
+/// memo stays well under a megabyte.
+const HASH_MEMO_CAP: usize = 1024;
+
+/// One memoized trace hash and the generator inputs it was derived from.
+#[derive(Debug)]
+struct MemoEntry {
+    instructions: usize,
+    seed_offset: u64,
+    profile: WorkloadProfile,
+    hash: u64,
+}
+
+/// The trace-hash memo: a bounded first-in, first-out list. Lookups scan
+/// it; the cheap integer inputs are compared before the profile.
+#[derive(Debug, Default)]
+struct HashMemo {
+    entries: VecDeque<MemoEntry>,
+}
+
+impl HashMemo {
+    fn get(&self, profile: &WorkloadProfile, instructions: usize, seed_offset: u64) -> Option<u64> {
+        self.entries
+            .iter()
+            .find(|e| {
+                e.instructions == instructions
+                    && e.seed_offset == seed_offset
+                    && e.profile == *profile
+            })
+            .map(|e| e.hash)
+    }
+
+    /// Remembers `hash`, evicting the oldest entry when full. A key that
+    /// a racing worker stored first is not stored twice.
+    fn insert(
+        &mut self,
+        profile: &WorkloadProfile,
+        instructions: usize,
+        seed_offset: u64,
+        hash: u64,
+    ) {
+        if self.get(profile, instructions, seed_offset).is_some() {
+            return;
+        }
+        if self.entries.len() == HASH_MEMO_CAP {
+            self.entries.pop_front();
+        }
+        self.entries.push_back(MemoEntry {
+            instructions,
+            seed_offset,
+            profile: profile.clone(),
+            hash,
+        });
+    }
 }
 
 /// Appends one `key=value` field to a canonical string with length
@@ -179,6 +259,9 @@ pub struct ResultCache {
     misses: AtomicU64,
     corrupt: AtomicU64,
     quarantined: AtomicU64,
+    hash_memo: Mutex<HashMemo>,
+    hashes_derived: AtomicU64,
+    hash_memo_hits: AtomicU64,
 }
 
 impl ResultCache {
@@ -200,6 +283,9 @@ impl ResultCache {
             misses: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
+            hash_memo: Mutex::default(),
+            hashes_derived: AtomicU64::new(0),
+            hash_memo_hits: AtomicU64::new(0),
         })
     }
 
@@ -361,6 +447,37 @@ impl ResultCache {
         })
     }
 
+    /// The content hash of `profile`'s trace of `instructions` records at
+    /// execution seed `seed_offset` — the trace half of a synthetic
+    /// cell's [`CacheKey`] — from this cache's memo, or derived by
+    /// generating the trace and remembered (see the module docs).
+    pub(crate) fn trace_hash(
+        &self,
+        profile: &WorkloadProfile,
+        instructions: usize,
+        seed_offset: u64,
+    ) -> u64 {
+        if let Some(hash) = self.memo().get(profile, instructions, seed_offset) {
+            self.hash_memo_hits.fetch_add(1, Ordering::Relaxed);
+            return hash;
+        }
+        // Derived outside the lock, so other workers' lookups never wait
+        // for a generation. Two workers missing on the same key both
+        // derive it, and both count.
+        let hash = crate::measure::generated_trace_hash(profile, instructions, seed_offset);
+        self.hashes_derived.fetch_add(1, Ordering::Relaxed);
+        self.memo().insert(profile, instructions, seed_offset, hash);
+        hash
+    }
+
+    fn memo(&self) -> MutexGuard<'_, HashMemo> {
+        // The memo is consistent between statements, so a poisoned lock
+        // is still safe to use.
+        self.hash_memo
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// This cache's hit/miss counters (process-local).
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -368,6 +485,8 @@ impl ResultCache {
             misses: self.misses.load(Ordering::Relaxed),
             corrupt: self.corrupt.load(Ordering::Relaxed),
             quarantined: self.quarantined.load(Ordering::Relaxed),
+            hashes_derived: self.hashes_derived.load(Ordering::Relaxed),
+            hash_memo_hits: self.hash_memo_hits.load(Ordering::Relaxed),
         }
     }
 
@@ -605,6 +724,51 @@ mod tests {
         let moved = key(10, 21);
         std::fs::copy(cache.entry_path(&k1), cache.entry_path(&moved)).unwrap();
         assert!(cache.lookup(&moved).is_none());
+    }
+
+    #[test]
+    fn full_hash_memo_evicts_its_oldest_entry() {
+        let profile = WorkloadProfile::oltp_db2();
+        let mut memo = HashMemo::default();
+        for i in 0..=HASH_MEMO_CAP {
+            memo.insert(&profile, i, 0, i as u64);
+        }
+        assert_eq!(memo.entries.len(), HASH_MEMO_CAP);
+        assert_eq!(memo.get(&profile, 0, 0), None, "the oldest entry goes");
+        assert_eq!(memo.get(&profile, 1, 0), Some(1));
+        assert_eq!(
+            memo.get(&profile, HASH_MEMO_CAP, 0),
+            Some(HASH_MEMO_CAP as u64)
+        );
+        // A key already present is not stored again, and evicts nothing.
+        memo.insert(&profile, 1, 0, 1);
+        assert_eq!(memo.get(&profile, 1, 0), Some(1));
+        assert_eq!(memo.entries.len(), HASH_MEMO_CAP);
+    }
+
+    #[test]
+    fn memoized_trace_hashes_equal_generated_ones() {
+        let cache = ResultCache::open(tmpdir("memo")).unwrap();
+        let scale = Scale::tiny();
+        let seeds = [0, 1];
+        let n = scale.workloads().len() * seeds.len();
+        for pass in 1..=2 {
+            for profile in scale.workloads() {
+                for seed in seeds {
+                    assert_eq!(
+                        cache.trace_hash(&profile, scale.instructions, seed),
+                        crate::measure::generated_trace_hash(&profile, scale.instructions, seed),
+                        "{} at seed {seed}, pass {pass}",
+                        profile.name()
+                    );
+                }
+            }
+        }
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.hashes_derived, stats.hash_memo_hits),
+            (n as u64, n as u64)
+        );
     }
 
     #[test]

@@ -286,17 +286,18 @@ fn run_spec_impl(
         }
     }
 
-    // The trace half of every cache key. Hashing generates the workload
-    // once per (workload, scale, seed) in the calling thread — far
-    // cheaper than simulating, which is the point of the cache.
-    let cell_key = |coord: spec::JobCoord| -> CacheKey {
+    // The trace half of every cache key, asked of the cache's memo once
+    // per workload and sweep. A memo miss generates the trace in the
+    // calling thread — far cheaper than simulating, which is the point of
+    // the cache — and a hit generates nothing.
+    let cell_key = |cache: &ResultCache, coord: spec::JobCoord| -> CacheKey {
         let workload = &workloads[coord.workload];
         let trace_hash = *workload.trace_hash.get_or_init(|| {
             let profile = workload
                 .profile
                 .as_ref()
                 .expect("recorded hashes are pre-seeded above");
-            measure::generated_trace_hash(profile, scale.instructions, spec.seed_offset)
+            cache.trace_hash(profile, scale.instructions, spec.seed_offset)
         });
         CacheKey {
             trace_hash,
@@ -311,7 +312,7 @@ fn run_spec_impl(
     let mut cached_by_index = vec![false; coords.len()];
     let mut exec_us_by_index = vec![0u64; coords.len()];
     for &coord in &coords {
-        let cached = opts.cache.and_then(|c| c.lookup(&cell_key(coord)));
+        let cached = opts.cache.and_then(|c| c.lookup(&cell_key(c, coord)));
         match cached {
             Some(metrics) => {
                 cached_by_index[coord.index] = true;
@@ -368,7 +369,7 @@ fn run_spec_impl(
             if let Some(cache) = opts.cache {
                 // A failed store (disk full, EIO) degrades to running
                 // uncached: the sweep still completes with the fresh cell.
-                if let Err(e) = cache.store(&cell_key(*coord), &cell.metrics) {
+                if let Err(e) = cache.store(&cell_key(cache, *coord), &cell.metrics) {
                     pif_obs::log::warn(
                         "pif_lab",
                         "cache store failed; running uncached",

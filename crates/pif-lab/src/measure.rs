@@ -130,6 +130,8 @@ pub(crate) struct JobWorkload {
     /// Encoded v2 trace that synthetic Engine cells replay.
     pub encoded: OnceLock<Vec<u8>>,
     /// Content hash of the trace: the trace half of every cache key.
+    /// Filled at most once per sweep, from the cache's memo for a
+    /// synthetic workload.
     pub trace_hash: OnceLock<u64>,
 }
 
@@ -146,7 +148,10 @@ impl JobWorkload {
 }
 
 /// [`pif_trace::content_hash`] of the workload's generated trace,
-/// computed in the calling thread (no generator thread, no channel).
+/// computed in the calling thread (no generator thread, no channel). It
+/// generates the whole trace, so sweeps reach it only through
+/// [`crate::ResultCache::trace_hash`], which remembers the result per
+/// cache, and only when a cache is attached.
 pub(crate) fn generated_trace_hash(
     profile: &WorkloadProfile,
     instructions: usize,

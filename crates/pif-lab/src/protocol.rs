@@ -267,8 +267,14 @@ impl Response {
                 let cache = match cache {
                     Some(c) => format!(
                         "{{\"hits\": {}, \"misses\": {}, \"corrupt\": {}, \
-                         \"quarantined\": {}}}",
-                        c.hits, c.misses, c.corrupt, c.quarantined
+                         \"quarantined\": {}, \"hashes_derived\": {}, \
+                         \"hash_memo_hits\": {}}}",
+                        c.hits,
+                        c.misses,
+                        c.corrupt,
+                        c.quarantined,
+                        c.hashes_derived,
+                        c.hash_memo_hits
                     ),
                     None => "null".to_string(),
                 };
@@ -372,6 +378,8 @@ impl Response {
                         misses: c.get("misses")?.as_f64()? as u64,
                         corrupt: c.get("corrupt")?.as_f64()? as u64,
                         quarantined: c.get("quarantined")?.as_f64()? as u64,
+                        hashes_derived: c.get("hashes_derived")?.as_f64()? as u64,
+                        hash_memo_hits: c.get("hash_memo_hits")?.as_f64()? as u64,
                     })
                 }),
             }),
@@ -844,6 +852,8 @@ mod tests {
                     misses: 2,
                     corrupt: 1,
                     quarantined: 1,
+                    hashes_derived: 6,
+                    hash_memo_hits: 12,
                 }),
             },
             Response::Stats {

@@ -32,7 +32,7 @@
 //!
 //! The service is instrumented with a `pif_obs` registry: per-job
 //! queue-wait and execution-latency histograms, job/steal counters, and
-//! cache hit/miss/corrupt gauges, rendered on demand by
+//! cache hit/miss/corrupt and trace-hash memo gauges, rendered on demand by
 //! [`Service::render_metrics`] (the daemon's `metrics` protocol verb).
 //! The same latencies are folded into [`ServiceStats`] as
 //! [`LatencySummary`] values for the `stats` verb. None of this feeds
@@ -588,6 +588,8 @@ struct ServiceMetrics {
     cache_misses: pif_obs::Gauge,
     cache_corrupt: pif_obs::Gauge,
     cache_quarantined: pif_obs::Gauge,
+    cache_hashes_derived: pif_obs::Gauge,
+    cache_hash_memo_hits: pif_obs::Gauge,
 }
 
 impl ServiceMetrics {
@@ -638,6 +640,14 @@ impl ServiceMetrics {
                 "pif_service_cache_quarantined",
                 "Corrupt result-cache entries moved to the quarantine directory",
             ),
+            cache_hashes_derived: registry.gauge(
+                "pif_service_cache_hashes_derived",
+                "Trace hashes derived by generating the trace (memo misses)",
+            ),
+            cache_hash_memo_hits: registry.gauge(
+                "pif_service_cache_hash_memo_hits",
+                "Trace hashes answered by the result cache's in-memory memo",
+            ),
             registry,
         }
     }
@@ -650,6 +660,8 @@ impl ServiceMetrics {
             self.cache_misses.set(stats.misses);
             self.cache_corrupt.set(stats.corrupt);
             self.cache_quarantined.set(stats.quarantined);
+            self.cache_hashes_derived.set(stats.hashes_derived);
+            self.cache_hash_memo_hits.set(stats.hash_memo_hits);
         }
     }
 }

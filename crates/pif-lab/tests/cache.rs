@@ -7,6 +7,11 @@
 //!    engine runs (proven by the `jobs_executed` counting hook) yet
 //!    serializes to exactly the bytes of the cold run that populated the
 //!    cache, and of a cache-free run.
+//!
+//! Each cache also memoizes its synthetic trace hashes: the tests here
+//! check that a warm run generates no trace to key its cells, and that
+//! every generator input (footprint, instruction count, execution seed)
+//! keys the memo.
 
 use std::path::PathBuf;
 use std::sync::{Mutex, PoisonError};
@@ -14,8 +19,8 @@ use std::sync::{Mutex, PoisonError};
 use pif_lab::cache::{cell_fingerprint, config_block_canon};
 use pif_lab::json::fmt_f64;
 use pif_lab::{
-    registry, run_spec_stats, CdfKind, Measure, Metric, ParamAxis, ResultCache, RunOptions, Scale,
-    SweepSpec,
+    registry, run_spec, run_spec_stats, CacheStats, CdfKind, Measure, Metric, ParamAxis,
+    ResultCache, RunOptions, Scale, SweepSpec,
 };
 use proptest::prelude::*;
 
@@ -29,6 +34,26 @@ fn tmpdir(tag: &str) -> PathBuf {
 /// tests on parallel threads: every test here that runs a sweep holds
 /// this lock, so no other test's cells land in a measured delta.
 static SWEEPS: Mutex<()> = Mutex::new(());
+
+/// The trace hashes `cache` derived and answered from its memo since
+/// `before`.
+fn hash_delta(cache: &ResultCache, before: CacheStats) -> (u64, u64) {
+    let now = cache.stats();
+    (
+        now.hashes_derived - before.hashes_derived,
+        now.hash_memo_hits - before.hash_memo_hits,
+    )
+}
+
+/// A cheap synthetic grid over two workloads.
+fn two_workload_analysis() -> SweepSpec {
+    SweepSpec::new(
+        "memo-inputs",
+        "two analysis cells",
+        Measure::PifAnalysis(CdfKind::None),
+    )
+    .with_workloads(vec!["OLTP-DB2", "Web-Apache"])
+}
 
 /// The warm-replay contract, end to end. One test (not several) because
 /// `jobs_executed` is a process-wide counter: running the cold and warm
@@ -50,23 +75,30 @@ fn warm_cache_rerun_is_byte_identical_with_zero_engine_runs() {
     let (reference, _) = run_spec_stats(&spec, &base);
     let reference_json = reference.to_json().unwrap();
 
-    // Cold run populates the cache — every cell executes.
+    // Cold run populates the cache — every cell executes, and each
+    // workload's trace hash is derived once.
     let cached_opts = base.clone().cache(&cache);
+    let workloads = spec.workload_names().len() as u64;
     let (cold, cold_stats) = run_spec_stats(&spec, &cached_opts);
     assert_eq!(cold_stats.executed_cells, spec.grid_len());
     assert_eq!(cold_stats.cached_cells, 0);
     assert_eq!(cache.entries().unwrap(), spec.grid_len());
     assert_eq!(cold.to_json().unwrap(), reference_json);
+    assert_eq!(hash_delta(&cache, CacheStats::default()), (workloads, 0));
 
     // Warm run answers everything from disk: zero jobs reach the
-    // measurement layer, and the report bytes are untouched.
+    // measurement layer, no trace is generated to key the cells (every
+    // workload's hash comes from the memo), and the report bytes are
+    // untouched.
     let before = pif_lab::jobs_executed();
+    let hashes_before = cache.stats();
     let (warm, warm_stats) = run_spec_stats(&spec, &cached_opts);
     let executed_during_warm = pif_lab::jobs_executed() - before;
     assert_eq!(executed_during_warm, 0, "warm cache must not simulate");
     assert_eq!(warm_stats.cached_cells, spec.grid_len());
     assert_eq!(warm_stats.executed_cells, 0);
     assert_eq!(warm.to_json().unwrap(), reference_json);
+    assert_eq!(hash_delta(&cache, hashes_before), (0, workloads));
 
     // Partial warmth: clearing the store re-simulates everything (the
     // mixed case is exercised by the service soak test).
@@ -130,6 +162,46 @@ fn partially_cached_lane_grid_reruns_only_its_missing_cells() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `fig7` and `fig9-lengths` generate the same six traces, so on one
+/// cache the second spec keys its cells with the first one's hashes.
+#[test]
+fn specs_over_the_same_traces_derive_each_hash_once() {
+    let _sweeps = SWEEPS.lock().unwrap_or_else(PoisonError::into_inner);
+    let dir = tmpdir("shared-traces");
+    let cache = ResultCache::open(&dir).unwrap();
+    let opts = RunOptions::new()
+        .scale(Scale::tiny())
+        .threads(2)
+        .smoke(true)
+        .cache(&cache);
+    run_spec_stats(&registry::fig7(), &opts);
+    assert_eq!(hash_delta(&cache, CacheStats::default()), (6, 0));
+    let (_, stats) = run_spec_stats(&registry::fig9_lengths(), &opts);
+    assert_eq!(stats.cached_cells, 0, "the two specs share no cell");
+    assert_eq!(hash_delta(&cache, CacheStats::default()), (6, 6));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The memo lives in memory with its cache: a cache reopened on the same
+/// directory replays every cell from disk but derives its hashes anew.
+#[test]
+fn reopened_cache_starts_with_an_empty_memo() {
+    let _sweeps = SWEEPS.lock().unwrap_or_else(PoisonError::into_inner);
+    let dir = tmpdir("reopen");
+    let spec = two_workload_analysis();
+    let opts = RunOptions::new().scale(Scale::tiny()).threads(2);
+    let first = ResultCache::open(&dir).unwrap();
+    let (cold, _) = run_spec_stats(&spec, &opts.clone().cache(&first));
+    assert_eq!(hash_delta(&first, CacheStats::default()), (2, 0));
+
+    let reopened = ResultCache::open(&dir).unwrap();
+    let (warm, stats) = run_spec_stats(&spec, &opts.clone().cache(&reopened));
+    assert_eq!(stats.executed_cells, 0);
+    assert_eq!(hash_delta(&reopened, CacheStats::default()), (2, 0));
+    assert_eq!(warm.to_json().unwrap(), cold.to_json().unwrap());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Deletes the one entry file named `name` from the cache's shards.
 fn remove_entry(root: &std::path::Path, name: &str) {
     let mut removed = 0;
@@ -143,7 +215,9 @@ fn remove_entry(root: &std::path::Path, name: &str) {
     assert_eq!(removed, 1, "entry {name}");
 }
 
-/// A different scale must address different entries, not hit stale ones.
+/// A different scale must address different entries, not hit stale
+/// ones, and a change to any one generator input must derive fresh trace
+/// hashes rather than reuse a memoized one.
 #[test]
 fn scale_change_misses_the_cache() {
     // The lock guards no data, so a poisoned one still serializes.
@@ -168,8 +242,53 @@ fn scale_change_misses_the_cache() {
         second.cached_cells, 0,
         "quick scale must not reuse tiny cells"
     );
+    let before = cache.stats();
     let (_, third) = run_spec_stats(&spec, &tiny);
     assert_eq!(third.executed_cells, 0, "tiny entries still valid");
+    assert_eq!(hash_delta(&cache, before), (0, 6), "tiny hashes memoized");
+
+    // One generator input changed at a time, on the same cache. The
+    // unchanged inputs are table1's tiny traces, memoized above; each
+    // change derives both workloads' hashes afresh. Every run reports
+    // exactly what an uncached run at its inputs reports.
+    let base = Scale::tiny();
+    let (fresh, memoized) = ((2, 0), (0, 2));
+    let variants = [
+        ("unchanged", base, 0, memoized),
+        (
+            "footprint",
+            Scale {
+                footprint: 0.05,
+                ..base
+            },
+            0,
+            fresh,
+        ),
+        (
+            "instruction count",
+            Scale {
+                instructions: 30_000,
+                ..base
+            },
+            0,
+            fresh,
+        ),
+        ("seed_offset", base, 1, fresh),
+    ];
+    for (what, scale, seed_offset, hashes) in variants {
+        let mut spec = two_workload_analysis();
+        spec.seed_offset = seed_offset;
+        let uncached = RunOptions::new().scale(scale).threads(2);
+        let before = cache.stats();
+        let (report, stats) = run_spec_stats(&spec, &uncached.clone().cache(&cache));
+        assert_eq!(hash_delta(&cache, before), hashes, "{what}");
+        assert_eq!(stats.cached_cells, 0, "{what}");
+        assert_eq!(
+            report.to_json().unwrap(),
+            run_spec(&spec, &uncached).to_json().unwrap(),
+            "{what}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

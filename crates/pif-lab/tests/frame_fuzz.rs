@@ -64,6 +64,8 @@ fn seed_frames() -> Vec<String> {
             misses: 2,
             corrupt: 1,
             quarantined: 1,
+            hashes_derived: 6,
+            hash_memo_hits: 12,
         })),
         Response::Metrics {
             format: MetricsFormat::Prometheus,
