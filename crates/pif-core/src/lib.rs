@@ -56,7 +56,6 @@ mod history;
 mod index;
 mod prefetcher;
 mod sab;
-pub mod shared;
 mod spatial;
 mod temporal;
 

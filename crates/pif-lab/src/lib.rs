@@ -271,33 +271,34 @@ fn run_spec_impl(
     let coords = spec.jobs();
 
     // Recorded workloads have no generator: load (or, for the demo
-    // workload, synthesize) every trace up front and seed both the trace
-    // and the hash memo, so job execution and cache keying never touch
-    // the filesystem and the report stays a pure function of the trace
-    // bytes.
+    // workload, synthesize) every trace up front, so job execution and
+    // cache keying never touch the filesystem and the report stays a
+    // pure function of the trace bytes.
     if spec.recorded {
         for (workload, name) in workloads.iter().zip(&names) {
             let trace = recorded::load(name, scale.instructions)
                 .unwrap_or_else(|e| panic!("spec {}: workload {name:?}: {e}", spec.name));
-            let _ = workload
-                .trace_hash
-                .set(pif_trace::content_hash(trace.instrs().iter().copied()));
             let _ = workload.trace.set(trace);
         }
     }
 
-    // The trace half of every cache key, asked of the cache's memo once
-    // per workload and sweep. A memo miss generates the trace in the
-    // calling thread — far cheaper than simulating, which is the point of
-    // the cache — and a hit generates nothing.
+    // The trace half of every cache key, computed once per workload and
+    // sweep, and only when a cache asks. A recorded workload hashes its
+    // loaded trace; a synthetic one asks the cache's memo, whose miss
+    // generates the trace in the calling thread — far cheaper than
+    // simulating, which is the point of the cache — and whose hit
+    // generates nothing.
     let cell_key = |cache: &ResultCache, coord: spec::JobCoord| -> CacheKey {
         let workload = &workloads[coord.workload];
-        let trace_hash = *workload.trace_hash.get_or_init(|| {
-            let profile = workload
-                .profile
-                .as_ref()
-                .expect("recorded hashes are pre-seeded above");
-            cache.trace_hash(profile, scale.instructions, spec.seed_offset)
+        let trace_hash = *workload.trace_hash.get_or_init(|| match &workload.profile {
+            Some(profile) => cache.trace_hash(profile, scale.instructions, spec.seed_offset),
+            None => {
+                let trace = workload
+                    .trace
+                    .get()
+                    .expect("recorded traces are loaded above");
+                pif_trace::content_hash(trace.instrs().iter().copied())
+            }
         });
         CacheKey {
             trace_hash,

@@ -118,9 +118,8 @@ pub fn jobs_executed() -> u64 {
 
 /// One workload of the expanded grid: its stable report name, for
 /// synthetic workloads the generating profile, and the per-sweep memos
-/// its cells share. Recorded workloads carry no profile — their
-/// `trace` and `trace_hash` are pre-seeded by `run_spec_impl` before any
-/// job runs.
+/// its cells share. Recorded workloads carry no profile — their `trace`
+/// is pre-seeded by `run_spec_impl` before any job runs.
 #[derive(Debug)]
 pub(crate) struct JobWorkload {
     pub name: String,
@@ -130,8 +129,9 @@ pub(crate) struct JobWorkload {
     /// Encoded v2 trace that synthetic Engine cells replay.
     pub encoded: OnceLock<Vec<u8>>,
     /// Content hash of the trace: the trace half of every cache key.
-    /// Filled at most once per sweep, from the cache's memo for a
-    /// synthetic workload.
+    /// Filled at most once per sweep and only when a cache is attached:
+    /// from the cache's memo for a synthetic workload, from `trace` for
+    /// a recorded one.
     pub trace_hash: OnceLock<u64>,
 }
 

@@ -202,6 +202,42 @@ fn reopened_cache_starts_with_an_empty_memo() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A recorded spec keys its cells with a hash of its loaded trace, not
+/// through the synthetic-trace memo; its cold and warm cached runs must
+/// still replay the bytes of an uncached run, and the warm one must
+/// simulate nothing.
+#[test]
+fn recorded_spec_replays_from_the_cache() {
+    let _sweeps = SWEEPS.lock().unwrap_or_else(PoisonError::into_inner);
+    let dir = tmpdir("recorded");
+    let cache = ResultCache::open(&dir).unwrap();
+    let spec = registry::fig_bintrace();
+    let base = RunOptions::new()
+        .scale(Scale::tiny())
+        .threads(2)
+        .smoke(true);
+    let reference_json = run_spec(&spec, &base).to_json().unwrap();
+
+    let cached_opts = base.clone().cache(&cache);
+    let (cold, cold_stats) = run_spec_stats(&spec, &cached_opts);
+    assert_eq!(cold_stats.executed_cells, spec.grid_len());
+    assert_eq!(cold_stats.cached_cells, 0);
+    assert_eq!(cache.entries().unwrap(), spec.grid_len());
+    assert_eq!(cold.to_json().unwrap(), reference_json);
+
+    let before = pif_lab::jobs_executed();
+    let (warm, warm_stats) = run_spec_stats(&spec, &cached_opts);
+    assert_eq!(
+        pif_lab::jobs_executed() - before,
+        0,
+        "warm cache must not simulate"
+    );
+    assert_eq!(warm_stats.cached_cells, spec.grid_len());
+    assert_eq!(warm.to_json().unwrap(), reference_json);
+    assert_eq!(hash_delta(&cache, CacheStats::default()), (0, 0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Deletes the one entry file named `name` from the cache's shards.
 fn remove_entry(root: &std::path::Path, name: &str) {
     let mut removed = 0;

@@ -61,7 +61,6 @@ pub mod cache;
 mod config;
 pub mod engine;
 pub mod frontend;
-pub mod multicore;
 pub mod predictor_eval;
 pub mod prefetch;
 pub mod probe;

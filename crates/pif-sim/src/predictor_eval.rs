@@ -136,10 +136,6 @@ pub struct TemporalStreamPredictor {
     contexts: Vec<ContextHistory>,
     streams: Vec<ReplayStream>,
     clock: u64,
-    /// Unpredicted misses whose block had no recorded occurrence (cold).
-    uncovered_cold: u64,
-    /// Unpredicted misses whose block was recorded (stream break).
-    uncovered_warm: u64,
 }
 
 impl TemporalStreamPredictor {
@@ -158,14 +154,7 @@ impl TemporalStreamPredictor {
                 .collect(),
             streams: Vec::new(),
             clock: 0,
-            uncovered_cold: 0,
-            uncovered_warm: 0,
         }
-    }
-
-    /// Unpredicted misses split into (cold, stream-break) counts.
-    pub fn uncovered_breakdown(&self) -> (u64, u64) {
-        (self.uncovered_cold, self.uncovered_warm)
     }
 
     /// Records one observation in `context`.
@@ -214,11 +203,6 @@ impl TemporalStreamPredictor {
     /// `block`, if one exists (called when an unpredicted miss recurs —
     /// the "stream head" event).
     pub fn try_open(&mut self, context: usize, block: BlockAddr) {
-        if self.contexts[context].lookup(block).is_none() {
-            self.uncovered_cold += 1;
-        } else {
-            self.uncovered_warm += 1;
-        }
         if let Some(pos) = self.contexts[context].lookup(block) {
             let mut stream = ReplayStream {
                 context,

@@ -35,7 +35,6 @@ use crate::cache::L2Model;
 use crate::config::EngineConfig;
 use crate::engine::{Engine, RunOptions, RunReport};
 use crate::frontend::FrontEnd;
-use crate::multicore::Summary;
 use crate::prefetch::Prefetcher;
 
 /// How measurement-window start positions are placed over the trace.
@@ -266,6 +265,55 @@ pub struct SampleResult {
     pub window: SampleWindow,
     /// The post-warmup engine report for the window.
     pub report: RunReport,
+}
+
+/// Mean, standard error, and 95% confidence half-width of a per-sample
+/// metric (the paper reports UIPC "at a 95% confidence level with less
+/// than ±5% error").
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Summary {
+    /// Sample mean.
+    pub mean: f64,
+    /// Standard error of the mean.
+    pub stderr: f64,
+    /// 95% confidence half-width (normal approximation).
+    pub ci95: f64,
+}
+
+impl Summary {
+    /// Computes the summary of a sample. An empty sample yields all
+    /// zeros (not a 0/0 NaN), and a singleton or constant sample has zero
+    /// error.
+    pub fn of(samples: &[f64]) -> Summary {
+        if samples.is_empty() {
+            return Summary {
+                mean: 0.0,
+                stderr: 0.0,
+                ci95: 0.0,
+            };
+        }
+        let n = samples.len() as f64;
+        let mean = samples.iter().sum::<f64>() / n;
+        let var = if samples.len() > 1 {
+            samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0)
+        } else {
+            0.0
+        };
+        let stderr = (var / n).sqrt();
+        Summary {
+            mean,
+            stderr,
+            ci95: 1.96 * stderr,
+        }
+    }
+
+    /// Relative 95% error (the paper targets < ±5%).
+    pub fn relative_error(&self) -> f64 {
+        if self.mean == 0.0 {
+            return 0.0;
+        }
+        self.ci95 / self.mean.abs()
+    }
 }
 
 /// Aggregated results of a sampled run: per-sample reports plus
@@ -615,6 +663,43 @@ mod tests {
         (0..n)
             .map(|i| RetiredInstr::simple(Address::new((i % blocks) * 64), TrapLevel::Tl0))
             .collect()
+    }
+
+    #[test]
+    fn summary_statistics() {
+        let s = Summary::of(&[1.0, 2.0, 3.0, 4.0]);
+        assert!((s.mean - 2.5).abs() < 1e-9);
+        assert!(s.stderr > 0.0);
+        assert!((s.ci95 - 1.96 * s.stderr).abs() < 1e-12);
+        assert!(s.relative_error() > 0.0);
+    }
+
+    #[test]
+    fn summary_of_singleton_has_zero_error() {
+        let s = Summary::of(&[5.0]);
+        assert_eq!(s.mean, 5.0);
+        assert_eq!(s.stderr, 0.0);
+        assert_eq!(s.ci95, 0.0);
+        assert_eq!(s.relative_error(), 0.0);
+    }
+
+    #[test]
+    fn summary_of_empty_sample_is_all_zeros() {
+        let s = Summary::of(&[]);
+        assert_eq!(s.mean, 0.0, "no 0/0 NaN on the empty sample");
+        assert_eq!(s.stderr, 0.0);
+        assert_eq!(s.ci95, 0.0);
+        assert_eq!(s.relative_error(), 0.0);
+        assert!(s.mean.is_finite() && s.stderr.is_finite());
+    }
+
+    #[test]
+    fn summary_of_constant_sample_has_zero_variance() {
+        let s = Summary::of(&[2.5; 17]);
+        assert_eq!(s.mean, 2.5);
+        assert_eq!(s.stderr, 0.0);
+        assert_eq!(s.ci95, 0.0);
+        assert_eq!(s.relative_error(), 0.0);
     }
 
     #[test]

@@ -32,8 +32,8 @@ impl<'a> Executor<'a> {
     /// Creates an executor whose *execution* randomness (transaction mix,
     /// data-dependent branches, interrupt arrivals) is offset by
     /// `offset`, while the code image stays identical — i.e. another
-    /// thread/process of the same server binary. Used for multi-core runs
-    /// sharing predictor storage.
+    /// thread/process of the same server binary. A sweep's `seed_offset`
+    /// selects it.
     pub fn with_execution_seed(
         program: &'a ProgramImage,
         params: &'a GeneratorParams,

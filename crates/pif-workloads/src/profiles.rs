@@ -291,24 +291,6 @@ impl WorkloadProfile {
         &self.params
     }
 
-    /// Returns a copy whose generator seed is offset by `offset` — the
-    /// same binary and behaviour, a different execution (used for
-    /// per-core trace variation in CMP runs and for confidence-interval
-    /// replication).
-    ///
-    /// Note: the seed also feeds code layout, so different offsets model
-    /// different server processes rather than threads of one image.
-    #[must_use]
-    pub fn with_seed_offset(&self, offset: u64) -> Self {
-        let mut params = self.params.clone();
-        params.seed = params.seed.wrapping_add(offset.wrapping_mul(0x9e37_79b9));
-        WorkloadProfile {
-            name: self.name.clone(),
-            class: self.class,
-            params,
-        }
-    }
-
     /// Returns a copy with the code footprint scaled by `factor` (see
     /// [`GeneratorParams::scaled`]); behaviour knobs are unchanged.
     #[must_use]
@@ -387,8 +369,7 @@ impl WorkloadProfile {
     /// on a background thread feeding a bounded channel, so memory stays
     /// flat no matter how long the trace is. Being an
     /// `Iterator<Item = RetiredInstr>`, the stream is a
-    /// `pif_types::InstrSource` and plugs straight into
-    /// `Engine::run` and per-core `run_cmp_sources` closures.
+    /// `pif_types::InstrSource` and plugs straight into `Engine::run`.
     pub fn stream(&self, instructions: usize) -> crate::stream::TraceStream {
         crate::stream::TraceStream::spawn(self.clone(), instructions, 0)
     }

@@ -3,9 +3,9 @@
 //! [`TraceStream`] decouples trace generation from consumption: the
 //! executor runs on a background thread pushing fixed-size batches into a
 //! bounded channel, and the consumer pulls instructions one at a time.
-//! Peak memory is a few batches regardless of trace length, which is what
-//! lets a 16-core CMP run over hundreds of millions of instructions per
-//! core stay CPU-bound instead of RAM-bound.
+//! Peak memory is a few batches regardless of trace length, so an engine
+//! run over hundreds of millions of instructions stays CPU-bound instead
+//! of RAM-bound.
 
 use std::sync::mpsc::{sync_channel, Receiver};
 

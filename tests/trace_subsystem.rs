@@ -1,6 +1,7 @@
 //! End-to-end tests of the trace subsystem: golden byte fixtures for
 //! cross-version compatibility, out-of-core simulation through
-//! `Engine::run`, and the v2 compression target.
+//! `Engine::run`, the v2 compression target, simulations over a decoded
+//! trace, and the execution seeds that vary a trace over one code image.
 //!
 //! The golden fixtures pin the *byte layouts* of both format versions; if
 //! either codec changes its on-disk format, these tests fail before any
@@ -215,34 +216,45 @@ fn ten_million_instruction_oltp_trace_out_of_core() {
 }
 
 #[test]
-fn run_cmp_sources_streams_per_core_without_materializing() {
-    use pif_repro::sim::multicore::{run_cmp, run_cmp_sources};
-    let profile = WorkloadProfile::web_apache().scaled(0.05);
-    let config = EngineConfig::paper_default();
-    let streamed = run_cmp_sources(
-        &config,
-        4,
-        1_000,
-        |core| profile.stream_with_execution_seed(15_000, core as u64),
-        |_| NoPrefetcher,
+fn serialized_traces_drive_identical_simulations() {
+    let trace = WorkloadProfile::oltp_oracle().scaled(0.2).generate(100_000);
+    let bytes = pif_repro::trace::encode_v2(trace.name(), trace.instrs());
+    let (_, restored) = decode(&bytes).expect("round trip");
+    let engine = Engine::new(EngineConfig::paper_default());
+    let a = engine.run(
+        trace.instrs().iter().copied(),
+        Pif::new(PifConfig::paper_default()),
+        RunOptions::new(),
     );
-    let materialized = run_cmp(
-        &config,
-        4,
-        1_000,
-        |core| {
-            profile
-                .generate_with_execution_seed(15_000, core as u64)
-                .instrs()
-                .to_vec()
-        },
-        |_| NoPrefetcher,
+    let b = engine.run(
+        restored.iter().copied(),
+        Pif::new(PifConfig::paper_default()),
+        RunOptions::new(),
     );
-    assert_eq!(streamed.per_core.len(), 4);
-    for (a, b) in streamed.per_core.iter().zip(&materialized.per_core) {
-        assert_eq!(a.fetch, b.fetch);
-        assert_eq!(a.timing, b.timing);
-    }
+    assert_eq!(a.fetch, b.fetch);
+    assert_eq!(a.timing, b.timing);
+}
+
+#[test]
+fn execution_seeds_share_the_code_image() {
+    let profile = WorkloadProfile::oltp_db2().scaled(0.2);
+    let a = profile.generate_with_execution_seed(30_000, 0);
+    let b = profile.generate_with_execution_seed(30_000, 1);
+    assert_ne!(a.instrs(), b.instrs(), "different interleavings");
+    // Same binary: block sets overlap heavily.
+    let blocks = |t: &Trace| {
+        let mut v: Vec<u64> = t.instrs().iter().map(|i| i.pc.block().number()).collect();
+        v.sort_unstable();
+        v.dedup();
+        v
+    };
+    let (ba, bb) = (blocks(&a), blocks(&b));
+    let common = ba.iter().filter(|x| bb.binary_search(x).is_ok()).count();
+    assert!(
+        common as f64 / ba.len() as f64 > 0.4,
+        "only {common}/{} blocks shared",
+        ba.len()
+    );
 }
 
 #[test]
