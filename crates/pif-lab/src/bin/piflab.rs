@@ -294,7 +294,8 @@ fn cmd_run(args: &[String]) -> ExitCode {
         if let (Some(c), false) = (&cache, opts.quiet) {
             let after = c.stats();
             eprintln!(
-                "piflab: {} — {} cells cached, {} executed; trace hashes: {} derived, {} memoized",
+                "piflab: {} — {} cells cached, {} executed; \
+                 synthetic trace hashes: {} derived, {} memoized",
                 spec.name,
                 stats.cached_cells,
                 stats.executed_cells,
@@ -964,7 +965,7 @@ fn cmd_stats(args: &[String]) -> ExitCode {
             match cache {
                 Some(c) => println!(
                     "  cache: {} hits, {} misses ({} corrupt, {} quarantined); \
-                     trace hashes: {} derived, {} memoized",
+                     synthetic trace hashes: {} derived, {} memoized",
                     c.hits, c.misses, c.corrupt, c.quarantined, c.hashes_derived, c.hash_memo_hits
                 ),
                 None => println!("  cache: disabled"),

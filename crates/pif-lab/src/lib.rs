@@ -334,16 +334,10 @@ fn run_spec_impl(
     // history-capacity lane of one workload's analysis (`group_jobs`).
     let jobs = measure::group_jobs(spec, &mut missing);
 
-    // Two-level parallelism without oversubscription: when the grid has
-    // enough jobs to keep every worker busy, jobs run on the outer pool
-    // and each cell's sampled windows run serially; a sparse grid (fewer
-    // jobs than threads) instead hands the whole thread budget to each
-    // cell's window fan-out.
-    let inner = Pool::new(if jobs.len() >= opts.threads {
-        1
-    } else {
-        opts.threads
-    });
+    // Two-level parallelism without oversubscription: jobs run on the
+    // outer pool, and each cell's sampled windows on an inner pool that
+    // gets the job's share of the thread budget.
+    let inner = Pool::new(inner_pool_width(opts.threads, jobs.len()));
     let (fresh, pool_stats) = Pool::new(opts.threads).run_indexed_stats(jobs.len(), |i| {
         // Timed only under profiling, and into a sidecar value — timing
         // never reaches the cell or the report.
@@ -425,6 +419,15 @@ fn run_spec_impl(
         },
         profile,
     )
+}
+
+/// Workers of the pool each job's sampled windows fan out on: the thread
+/// budget split evenly over the jobs that run at once, so `jobs`
+/// concurrent jobs start at most `threads` window workers between them
+/// (and each job at least one). Reports do not depend on it, because
+/// windows merge by index.
+fn inner_pool_width(threads: usize, jobs: usize) -> usize {
+    (threads / jobs.max(1)).max(1)
 }
 
 /// Post-merge derived metrics: UIPC speedup of every engine (or sampled,
@@ -564,6 +567,14 @@ mod tests {
     #[test]
     fn speedup_formats() {
         assert_eq!(speedup(1.27), "1.27x");
+    }
+
+    #[test]
+    fn inner_pool_splits_the_thread_budget_over_the_jobs() {
+        // (threads, jobs) → window workers per job.
+        for ((threads, jobs), width) in [((32, 20), 1), ((8, 2), 4), ((8, 1), 8), ((2, 0), 2)] {
+            assert_eq!(inner_pool_width(threads, jobs), width, "{threads}, {jobs}");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! A spec built with [`crate::SweepSpec::with_recorded_workloads`] treats
 //! its workload names not as synthetic [`pif_workloads::WorkloadProfile`]s
 //! but as **recorded traces**: each name `w` resolves to
-//! `<trace dir>/w.pift`, a v1/v2 trace file produced by
+//! `<trace dir>/w.pift`, a v2 trace file produced by
 //! `tracectl record-elf`. The trace directory defaults to
 //! `target/bintrace` and is overridden with the `PIF_BINTRACE_DIR`
 //! environment variable.

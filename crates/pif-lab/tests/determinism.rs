@@ -10,7 +10,9 @@ use std::path::Path;
 
 use pif_lab::json::Json;
 use pif_lab::registry::AblationVariant;
-use pif_lab::{registry, report, run_spec, CdfKind, Measure, ParamAxis, RunOptions, Scale};
+use pif_lab::{
+    registry, report, run_spec, CdfKind, Measure, ParamAxis, PrefetcherKind, RunOptions, Scale,
+};
 use pif_lab::{SweepReport, SweepSpec};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -70,6 +72,27 @@ fn sampled_sweep_is_thread_invariant() {
     // the job index, so the sampled grid must also be byte-identical
     // across thread counts.
     assert_thread_invariant(&registry::fig_sampling());
+}
+
+#[test]
+fn sparse_sampled_grids_are_thread_invariant() {
+    // With fewer jobs than threads, each job's windows fan out on a pool
+    // wider than one worker (1 job at 4 threads: 4 workers; 2 jobs: 2
+    // each). fig-sampling's 20 jobs never reach that at these counts.
+    for counts in [vec![8], vec![4, 8]] {
+        let spec = SweepSpec::new(
+            "sparse-sampling",
+            "one workload, one prefetcher, sampled",
+            Measure::Sampled { samples: 8 },
+        )
+        .with_workloads(vec!["OLTP-DB2"])
+        .with_prefetchers(vec![PrefetcherKind::Pif])
+        .with_axis(ParamAxis::SampleCount(counts));
+        let opts = |threads| RunOptions::new().scale(Scale::tiny()).threads(threads);
+        let serial = run_spec(&spec, &opts(1)).to_json().unwrap();
+        let parallel = run_spec(&spec, &opts(4)).to_json().unwrap();
+        assert_eq!(serial, parallel, "{} points", spec.axis.len());
+    }
 }
 
 #[test]

@@ -1,14 +1,14 @@
 //! Tier-1 determinism contract for parallel sampled execution: for any
-//! plan with independent windows, the pool-parallel drivers produce
-//! reports **equal in every field** to the serial drivers, at every
-//! thread count. `--threads` is a scheduling knob, never a results knob.
+//! plan with independent windows, `run_sampled_parallel` produces
+//! reports **equal in every field** to the serial `run_sampled`, at
+//! every thread count. `--threads` is a scheduling knob, never a results
+//! knob.
 
-use pif_baselines::NextLinePrefetcher;
 use pif_core::Pif;
-use pif_lab::sampled::{run_sampled_parallel, sample_trace_file_parallel};
+use pif_lab::sampled::run_sampled_parallel;
 use pif_lab::Pool;
-use pif_sim::sampling::{run_sampled, sample_trace_file, SamplingPlan, WarmStrategy};
-use pif_sim::{EngineConfig, NoPrefetcher};
+use pif_sim::sampling::{run_sampled, SamplingPlan, WarmStrategy};
+use pif_sim::EngineConfig;
 use pif_types::{Address, BranchInfo, BranchKind, RetiredInstr, TrapLevel};
 
 /// A looped trace with periodic calls, so prefetchers and branch
@@ -73,48 +73,6 @@ fn parallel_in_memory_reports_equal_serial_at_every_thread_count() {
 }
 
 #[test]
-fn parallel_file_sampling_equals_serial_at_every_thread_count() {
-    let trace = synthetic_trace(90_000);
-    let path =
-        std::env::temp_dir().join(format!("pif-sampled-parallel-{}.pift", std::process::id()));
-    let file = std::fs::File::create(&path).unwrap();
-    let mut writer =
-        pif_trace::TraceWriter::with_chunk_records(std::io::BufWriter::new(file), "par", 2048)
-            .unwrap();
-    writer.extend(trace.iter().copied()).unwrap();
-    writer.finish().unwrap();
-
-    let config = EngineConfig::paper_default();
-    let plan = per_window_plan();
-    let serial =
-        sample_trace_file(&config, &plan, &path, |_| NextLinePrefetcher::aggressive()).unwrap();
-    // The file path must also agree with the in-memory path.
-    let in_memory = run_sampled(
-        &config,
-        &plan,
-        trace.len() as u64,
-        |w| trace[w.warmup_start as usize..].iter().copied(),
-        |_| NextLinePrefetcher::aggressive(),
-    );
-    assert_eq!(serial, in_memory);
-    for threads in [1, 2, 8] {
-        let parallel = sample_trace_file_parallel(
-            &config,
-            &plan,
-            &path,
-            |_| NextLinePrefetcher::aggressive(),
-            &Pool::new(threads),
-        )
-        .unwrap();
-        assert_eq!(
-            parallel, serial,
-            "threads={threads} must not change results"
-        );
-    }
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
 fn continuous_plans_fall_back_to_the_serial_driver() {
     let trace = synthetic_trace(60_000);
     let config = EngineConfig::paper_default();
@@ -139,28 +97,4 @@ fn continuous_plans_fall_back_to_the_serial_driver() {
         &Pool::new(8),
     );
     assert_eq!(via_parallel, serial);
-}
-
-#[test]
-fn truncated_files_report_the_lowest_indexed_windows_error() {
-    let trace = synthetic_trace(50_000);
-    let mut writer = pif_trace::TraceWriter::with_chunk_records(Vec::new(), "trunc", 1024).unwrap();
-    writer.extend(trace.iter().copied()).unwrap();
-    let bytes = writer.finish().unwrap();
-    let path = std::env::temp_dir().join(format!("pif-sampled-trunc-{}.pift", std::process::id()));
-    // Chop the trace mid-body: the chunk-header scan fails up front, the
-    // same way the serial out-of-core driver fails.
-    std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-    let config = EngineConfig::paper_default();
-    let plan = per_window_plan();
-    let serial = sample_trace_file(&config, &plan, &path, |_| NoPrefetcher);
-    let parallel =
-        sample_trace_file_parallel(&config, &plan, &path, |_| NoPrefetcher, &Pool::new(4));
-    assert!(serial.is_err() && parallel.is_err());
-    assert_eq!(
-        format!("{}", parallel.unwrap_err()),
-        format!("{}", serial.unwrap_err()),
-        "parallel driver surfaces the same error the serial driver hits"
-    );
-    std::fs::remove_file(&path).ok();
 }

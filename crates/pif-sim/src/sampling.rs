@@ -571,7 +571,7 @@ where
     let mut reader = pif_trace::TraceReader::open_indexed(std::io::BufReader::new(file))?;
     let total = reader
         .declared_count()
-        .expect("indexed v2 and v1 readers both know their record count");
+        .expect("open_indexed reads the record count off the chunk index");
     let windows = plan.windows(total);
     let mut driver = SampledDriver::new(config, plan, &windows, &mut prefetcher_for);
     for window in windows {
@@ -847,22 +847,27 @@ mod tests {
         writer.extend(trace.iter().copied()).unwrap();
         writer.finish().unwrap();
 
-        let plan = SamplingPlan::random(6, 99, 2_000, 1_000);
+        let continuous = SamplingPlan::random(6, 99, 2_000, 1_000);
+        let per_window = continuous.with_warm_strategy(WarmStrategy::PerWindow {
+            extra_warmup_instrs: 1_500,
+        });
         let config = EngineConfig::paper_default();
-        let from_file = sample_trace_file(&config, &plan, &path, |_| NoPrefetcher).unwrap();
-        let in_memory = run_sampled(
-            &config,
-            &plan,
-            trace.len() as u64,
-            |w| trace[w.warmup_start as usize..].iter().copied(),
-            |_| NoPrefetcher,
-        );
-        assert_eq!(from_file.total_records, trace.len() as u64);
-        assert_eq!(from_file.samples.len(), in_memory.samples.len());
-        for (a, b) in from_file.samples.iter().zip(&in_memory.samples) {
-            assert_eq!(a.window, b.window);
-            assert_eq!(a.report.fetch, b.report.fetch);
-            assert_eq!(a.report.timing, b.report.timing);
+        for plan in [continuous, per_window] {
+            let from_file = sample_trace_file(&config, &plan, &path, |_| NoPrefetcher).unwrap();
+            let in_memory = run_sampled(
+                &config,
+                &plan,
+                trace.len() as u64,
+                |w| trace[w.warmup_start as usize..].iter().copied(),
+                |_| NoPrefetcher,
+            );
+            assert_eq!(from_file.total_records, trace.len() as u64);
+            assert_eq!(from_file.samples.len(), in_memory.samples.len());
+            for (a, b) in from_file.samples.iter().zip(&in_memory.samples) {
+                assert_eq!(a.window, b.window);
+                assert_eq!(a.report.fetch, b.report.fetch);
+                assert_eq!(a.report.timing, b.report.timing);
+            }
         }
         std::fs::remove_file(&path).ok();
     }

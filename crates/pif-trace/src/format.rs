@@ -1,7 +1,6 @@
-//! Shared format constants, the per-record v2 codec and the test-only
-//! v1 encoder.
+//! Shared format constants and the per-record v2 codec.
 //!
-//! See the crate-level docs for the full v1/v2 layout specification. This
+//! See the crate-level docs for the full v2 layout specification. This
 //! module owns the byte-level details both the writer and reader use, so
 //! the two can never drift apart.
 
@@ -10,11 +9,9 @@ use pif_types::{Address, BranchInfo, BranchKind, RetiredInstr, TrapLevel};
 use crate::error::TraceDecodeError;
 use crate::varint::{read_varint, unzigzag, write_varint, zigzag};
 
-/// File magic shared by both format versions.
+/// File magic.
 pub const MAGIC: &[u8; 4] = b"PIFT";
-/// The legacy fixed-width record format.
-pub const VERSION_V1: u32 = 1;
-/// The chunked delta/varint format.
+/// The chunked delta/varint format, the only version readers accept.
 pub const VERSION_V2: u32 = 2;
 
 /// Default records per v2 chunk. 8 Ki records keeps the resident set of
@@ -29,11 +26,8 @@ pub const MAX_CHUNK_RECORDS: u32 = 1 << 24;
 /// Hard cap on a declared chunk payload length (64 MiB).
 pub const MAX_CHUNK_BYTES: u32 = 1 << 26;
 
-/// Cap on the declared workload-name length in either version's header.
+/// Cap on the declared workload-name length in the header.
 pub const MAX_NAME_LEN: u32 = 1 << 16;
-
-/// Smallest v1 record (a non-branch): pc, trap level, branch flag.
-pub(crate) const V1_MIN_RECORD_BYTES: u64 = 10;
 
 // v2 record flag byte layout.
 const TL_MASK: u8 = 0b0000_0011;
@@ -52,7 +46,7 @@ const _: () = assert!(TrapLevel::COUNT <= TL_MASK as usize + 1);
 /// generator emits).
 const INSTR_BYTES: u64 = 4;
 
-pub(crate) fn kind_to_bits(kind: BranchKind) -> u8 {
+fn kind_to_bits(kind: BranchKind) -> u8 {
     match kind {
         BranchKind::Conditional => 0,
         BranchKind::Direct => 1,
@@ -62,7 +56,7 @@ pub(crate) fn kind_to_bits(kind: BranchKind) -> u8 {
     }
 }
 
-pub(crate) fn kind_from_bits(b: u8) -> Result<BranchKind, TraceDecodeError> {
+fn kind_from_bits(b: u8) -> Result<BranchKind, TraceDecodeError> {
     Ok(match b {
         0 => BranchKind::Conditional,
         1 => BranchKind::Direct,
@@ -71,33 +65,6 @@ pub(crate) fn kind_from_bits(b: u8) -> Result<BranchKind, TraceDecodeError> {
         4 => BranchKind::Return,
         _ => return Err(TraceDecodeError::Corrupt("unknown branch kind")),
     })
-}
-
-/// Encodes `instrs` as an in-memory legacy v1 trace (layout in the
-/// crate-level docs). Nothing writes v1 files any more; this exists so
-/// tests can hold the readers' v1 support to the format.
-pub fn encode_v1(name: &str, instrs: &[RetiredInstr]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION_V1.to_le_bytes());
-    buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
-    buf.extend_from_slice(name.as_bytes());
-    buf.extend_from_slice(&(instrs.len() as u64).to_le_bytes());
-    for instr in instrs {
-        buf.extend_from_slice(&instr.pc.raw().to_le_bytes());
-        buf.push(instr.trap_level.index() as u8);
-        match instr.branch {
-            None => buf.push(0),
-            Some(info) => {
-                buf.push(1);
-                buf.push(kind_to_bits(info.kind));
-                buf.push(u8::from(info.taken));
-                buf.extend_from_slice(&info.taken_target.raw().to_le_bytes());
-                buf.extend_from_slice(&info.fall_through.raw().to_le_bytes());
-            }
-        }
-    }
-    buf
 }
 
 /// Appends one v2 record to `buf`. `prev_pc` is the intra-chunk delta

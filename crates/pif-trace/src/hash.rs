@@ -3,7 +3,7 @@
 //! A trace's *content hash* is an FNV-1a 64 digest over a canonical
 //! per-record byte encoding, independent of the container that carried
 //! the records: the same instruction sequence hashes identically whether
-//! it came from a v1 file, a v2 chunked file, an in-memory slice, or a
+//! it came from a trace file at any chunk size, an in-memory slice, or a
 //! workload generator stream. `pif-lab`'s result cache uses it as the
 //! trace half of its `(trace hash, config fingerprint)` key, and
 //! `tracectl hash` exposes it for file identity checks.

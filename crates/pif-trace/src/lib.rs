@@ -2,35 +2,23 @@
 //!
 //! The paper's results come from multi-billion-instruction server traces;
 //! this crate makes traces of that scale first-class artifacts. It defines
-//! the chunked, delta/varint-compressed **v2** format, streaming
+//! the chunked, delta/varint-compressed **v2** format and streaming
 //! [`TraceWriter`]/[`TraceReader`] endpoints that hold at most one chunk
-//! in memory, and read-only decoding of legacy **v1** files (nothing
-//! writes v1 any more; `tracectl convert` upgrades them to v2).
+//! in memory.
 //!
 //! # Format specification
 //!
-//! Both versions share a little-endian container header:
+//! A little-endian container header:
 //!
 //! ```text
 //! magic   "PIFT"           4 bytes
-//! version u32              1 or 2
+//! version u32              2
 //! name    u32 length + UTF-8 bytes
 //! ```
 //!
-//! ## v1 (legacy, fixed-width)
-//!
-//! ```text
-//! count   u64              number of records
-//! records count × (10 or 28 bytes)
-//!   pc          u64
-//!   trap_level  u8
-//!   has_branch  u8         0 | 1
-//!   if has_branch:
-//!     kind         u8      0..=4
-//!     taken        u8
-//!     taken_target u64
-//!     fall_through u64
-//! ```
+//! Readers reject every other version with
+//! [`TraceDecodeError::BadVersion`], including the retired fixed-width
+//! v1 layout (10 bytes per plain record, 28 per branch).
 //!
 //! ## v2 (chunked, delta/varint)
 //!
@@ -65,10 +53,10 @@
 //! ```
 //!
 //! Sequential instructions (`Δpc = +4`) therefore cost 2 bytes instead of
-//! v1's 10, and branches — whose targets are overwhelmingly nearby and
-//! whose fall-through is almost always `pc + 4` — cost 4–6 bytes instead
-//! of 28. On the synthetic server workloads this is a 4–6× size
-//! reduction.
+//! a fixed-width record's 10, and branches — whose targets are
+//! overwhelmingly nearby and whose fall-through is almost always `pc + 4`
+//! — cost 4–6 bytes instead of 28. On the synthetic server workloads this
+//! is a 4–6× size reduction.
 //!
 //! # Random access and sampling
 //!
@@ -78,8 +66,7 @@
 //! [`ChunkIndex`] (payloads are seeked over), after which
 //! [`TraceReader::seek_to_record`] jumps to any record by decoding at
 //! most one chunk prefix — the primitive behind `pif_sim::sampling`'s
-//! SimFlex-style sampled simulation. v1 files, having no chunks, fall
-//! back to a linear skip.
+//! SimFlex-style sampled simulation.
 //!
 //! # Out-of-core simulation
 //!
@@ -122,8 +109,7 @@ mod writer;
 
 pub use error::{TraceDecodeError, TraceErrorKind};
 pub use format::{
-    DEFAULT_CHUNK_RECORDS, MAGIC, MAX_CHUNK_BYTES, MAX_CHUNK_RECORDS, MAX_NAME_LEN, VERSION_V1,
-    VERSION_V2,
+    DEFAULT_CHUNK_RECORDS, MAGIC, MAX_CHUNK_BYTES, MAX_CHUNK_RECORDS, MAX_NAME_LEN, VERSION_V2,
 };
 pub use hash::{content_hash, TraceHasher};
 pub use reader::{
@@ -133,15 +119,16 @@ pub use writer::{AtomicTraceWriter, TraceWriter};
 
 /// Codec internals, exposed for tests: the v2 record codec, which
 /// differential tests (`tests/decode_batched.rs`) hold equal to the
-/// batched chunk decode, and the v1 encoder that builds legacy inputs.
-/// Not a stable API.
+/// batched chunk decode. Not a stable API.
 #[doc(hidden)]
 pub mod codec {
-    pub use crate::format::{decode_chunk, decode_record, encode_record, encode_v1};
+    pub use crate::format::{decode_chunk, decode_record, encode_record};
 }
 
 #[cfg(test)]
 mod tests {
+    use std::io::Cursor;
+
     use super::*;
     use pif_types::{Address, BranchInfo, BranchKind, RetiredInstr, TrapLevel};
 
@@ -303,9 +290,8 @@ mod tests {
         let mut w = TraceWriter::with_chunk_records(Vec::new(), "scan", 1024).unwrap();
         w.extend(instrs.iter().copied()).unwrap();
         let bytes = w.finish().unwrap();
-        let info = scan_info(bytes.as_slice()).unwrap();
+        let info = scan_info(Cursor::new(&bytes)).unwrap();
         assert_eq!(info.name, "scan");
-        assert_eq!(info.version, VERSION_V2);
         assert_eq!(info.records, 10_000);
         assert_eq!(info.chunks, 10_000_u64.div_ceil(1024));
         assert_eq!(info.bytes, bytes.len() as u64);
@@ -335,7 +321,7 @@ mod tests {
         let (name, instrs) = decode(&bytes).unwrap();
         assert_eq!(name, "empty");
         assert!(instrs.is_empty());
-        let info = scan_info(bytes.as_slice()).unwrap();
+        let info = scan_info(Cursor::new(&bytes)).unwrap();
         assert_eq!(info.records, 0);
         assert_eq!(info.chunks, 0);
     }
@@ -364,7 +350,6 @@ mod seek_tests {
     use std::io::Cursor;
 
     use super::*;
-    use crate::codec::encode_v1;
     use crate::tests::branchy_trace;
     use pif_types::RetiredInstr;
 
@@ -381,7 +366,7 @@ mod seek_tests {
         let mut w = TraceWriter::with_chunk_records(Vec::new(), "idx", 512).unwrap();
         w.extend(instrs.iter().copied()).unwrap();
         let bytes = w.finish().unwrap();
-        let info = scan_info(bytes.as_slice()).unwrap();
+        let info = scan_info(Cursor::new(&bytes)).unwrap();
 
         let reader = TraceReader::open_indexed(Cursor::new(&bytes)).unwrap();
         let index = reader.chunk_index().expect("v2 builds an index");
@@ -495,57 +480,6 @@ mod seek_tests {
         let tail: Vec<_> = bad.instrs_mut().collect();
         assert_eq!(tail, instrs[150..], "seek rebuilds decode state");
     }
-
-    #[test]
-    fn open_with_index_skips_the_rescan_but_seeks_identically() {
-        let instrs = branchy_trace(900);
-        let mut w = TraceWriter::with_chunk_records(Vec::new(), "share", 128).unwrap();
-        w.extend(instrs.iter().copied()).unwrap();
-        let bytes = w.finish().unwrap();
-        let indexed = TraceReader::open_indexed(Cursor::new(&bytes)).unwrap();
-        let index = indexed.chunk_index().unwrap().clone();
-
-        let mut shared = TraceReader::open_with_index(Cursor::new(&bytes), index.clone()).unwrap();
-        assert_eq!(shared.declared_count(), Some(900));
-        assert_eq!(shared.chunk_index(), Some(&index));
-        for n in [700usize, 0, 129, 899, 900] {
-            shared.seek_to_record(n as u64).unwrap();
-            assert_eq!(collect_rest(&mut shared), instrs[n..], "seek to {n}");
-        }
-
-        let v1 = encode_v1("v1", &instrs);
-        assert_eq!(
-            TraceReader::open_with_index(Cursor::new(&v1), index).err(),
-            Some(TraceDecodeError::Corrupt("chunk index over a v1 trace"))
-        );
-    }
-
-    #[test]
-    fn v1_seek_falls_back_to_linear_skip() {
-        let instrs = branchy_trace(400);
-        let bytes = encode_v1("v1seek", &instrs);
-        let mut reader = TraceReader::open(Cursor::new(&bytes)).unwrap();
-        assert_eq!(reader.version(), 1);
-        assert!(reader.chunk_index().is_none(), "v1 has no chunks");
-        for n in [0usize, 1, 250, 399, 400] {
-            reader.seek_to_record(n as u64).unwrap();
-            assert_eq!(collect_rest(&mut reader), instrs[n..], "v1 seek to {n}");
-        }
-        // Same boundary contract as v2: past-the-end is a typed error
-        // (the old behavior silently clamped to an empty tail).
-        for n in [401u64, 500, u64::MAX] {
-            assert_eq!(
-                reader.seek_to_record(n).err(),
-                Some(TraceDecodeError::SeekPastEnd {
-                    requested: n,
-                    total: 400
-                }),
-                "v1 seek to {n}"
-            );
-        }
-        reader.seek_to_record(399).unwrap();
-        assert_eq!(collect_rest(&mut reader), instrs[399..]);
-    }
 }
 
 #[cfg(test)]
@@ -605,13 +539,13 @@ mod proptests {
             let bytes = encode_v2("p", &instrs);
             let cut = cut_seed % (bytes.len() + 1);
             let _ = decode(&bytes[..cut]);
-            let _ = scan_info(&bytes[..cut]);
+            let _ = scan_info(std::io::Cursor::new(&bytes[..cut]));
         }
 
         #[test]
         fn random_bytes_never_panic(data in proptest::collection::vec(any::<u8>(), 0..512)) {
             let _ = decode(&data);
-            let _ = scan_info(data.as_slice());
+            let _ = scan_info(std::io::Cursor::new(&data));
         }
 
         /// The sampling contract: `seek_to_record(n)` then stream-to-end
@@ -633,30 +567,6 @@ mod proptests {
             let n = seek_seed % (instrs.len() + 2);
             let mut reader =
                 TraceReader::open_indexed(std::io::Cursor::new(&bytes)).unwrap();
-            if n <= instrs.len() {
-                reader.seek_to_record(n as u64).unwrap();
-                let tail: Vec<_> = reader.by_ref().collect::<Result<_, _>>().unwrap();
-                prop_assert_eq!(&tail, &instrs[n..]);
-            } else {
-                prop_assert_eq!(
-                    reader.seek_to_record(n as u64).err(),
-                    Some(TraceDecodeError::SeekPastEnd {
-                        requested: n as u64,
-                        total: instrs.len() as u64,
-                    })
-                );
-            }
-        }
-
-        /// Same contract over v1, where seeking is a linear re-decode.
-        #[test]
-        fn v1_seek_then_stream_equals_tail(
-            instrs in proptest::collection::vec(instr_strategy(), 0..200),
-            seek_seed in 0usize..4096,
-        ) {
-            let bytes = codec::encode_v1("v1p", &instrs);
-            let n = seek_seed % (instrs.len() + 2);
-            let mut reader = TraceReader::open(std::io::Cursor::new(&bytes)).unwrap();
             if n <= instrs.len() {
                 reader.seek_to_record(n as u64).unwrap();
                 let tail: Vec<_> = reader.by_ref().collect::<Result<_, _>>().unwrap();

@@ -1,16 +1,15 @@
-//! Streaming trace reader: decodes v1 and v2 files record by record,
-//! holding at most one chunk in memory — plus random access over v2
-//! chunk headers ([`ChunkIndex`], [`TraceReader::seek_to_record`]) for
-//! sampled simulation.
+//! Streaming trace reader: decodes v2 files record by record, holding
+//! at most one chunk in memory — plus random access over the chunk
+//! headers ([`ChunkIndex`], [`TraceReader::seek_to_record`]) for sampled
+//! simulation.
 
-use std::io::{self, Read, Seek, SeekFrom};
+use std::io::{Read, Seek, SeekFrom};
 
-use pif_types::{Address, BranchInfo, RetiredInstr, TrapLevel};
+use pif_types::RetiredInstr;
 
 use crate::error::TraceDecodeError;
 use crate::format::{
-    decode_chunk, kind_from_bits, MAGIC, MAX_CHUNK_BYTES, MAX_CHUNK_RECORDS, MAX_NAME_LEN,
-    V1_MIN_RECORD_BYTES, VERSION_V1, VERSION_V2,
+    decode_chunk, MAGIC, MAX_CHUNK_BYTES, MAX_CHUNK_RECORDS, MAX_NAME_LEN, VERSION_V2,
 };
 
 fn read_u32<R: Read>(r: &mut R) -> Result<u32, TraceDecodeError> {
@@ -25,7 +24,7 @@ fn read_u64<R: Read>(r: &mut R) -> Result<u64, TraceDecodeError> {
     Ok(u64::from_le_bytes(b))
 }
 
-/// Validates a v2 chunk header, rejecting absurd declarations before any
+/// Validates a chunk header, rejecting absurd declarations before any
 /// allocation or read happens. Every record costs at least 2 payload
 /// bytes (flags + one varint byte), so a count the payload cannot hold is
 /// corrupt on its face.
@@ -42,7 +41,7 @@ fn validate_chunk_header(records: u32, payload_len: u32) -> Result<(), TraceDeco
     Ok(())
 }
 
-/// One chunk's position within a v2 trace file, as recorded in a
+/// One chunk's position within a trace file, as recorded in a
 /// [`ChunkIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkEntry {
@@ -56,7 +55,7 @@ pub struct ChunkEntry {
     pub payload_len: u32,
 }
 
-/// Random-access index over a v2 trace's chunks, built from the 8-byte
+/// Random-access index over a trace's chunks, built from the 8-byte
 /// chunk headers alone (payloads are skipped, never decoded).
 ///
 /// Because every chunk resets the PC delta base, any chunk can be decoded
@@ -95,15 +94,12 @@ impl ChunkIndex {
 
 #[derive(Debug)]
 enum State {
-    /// Legacy fixed-width records; `remaining` counts down from the
-    /// header's declared total.
-    V1 { remaining: u64 },
     /// Chunked stream. Each chunk is batch-decoded on load into a flat,
     /// reusable scratch (`decoded`); iteration then serves records by
     /// index. Keeping the varint loop separate from the consumer keeps
     /// it branch-predictable, and both buffers are reused across chunks
     /// so steady-state decoding allocates nothing.
-    V2 {
+    Chunks {
         /// Raw payload scratch, reused across chunks.
         raw: Vec<u8>,
         /// Batch-decoded records of the current chunk, reused.
@@ -118,9 +114,9 @@ enum State {
 }
 
 impl State {
-    /// Fresh v2 decode state positioned before the first chunk.
-    fn v2_start() -> Self {
-        State::V2 {
+    /// Fresh decode state positioned before the first chunk.
+    fn start() -> Self {
+        State::Chunks {
             raw: Vec::new(),
             decoded: Vec::new(),
             next: 0,
@@ -130,13 +126,12 @@ impl State {
     }
 }
 
-/// Streaming reader over a serialized trace (either format version).
+/// Streaming reader over a serialized v2 trace.
 ///
 /// Iterates `Result<RetiredInstr, TraceDecodeError>`; after the first
 /// error the iterator fuses (yields `None`). Memory use is bounded by one
-/// chunk (v2) or one record (v1) regardless of trace length, which is
-/// what enables out-of-core simulation via
-/// `pif_sim::Engine::run`.
+/// chunk regardless of trace length, which is what enables out-of-core
+/// simulation via `pif_sim::Engine::run`.
 ///
 /// # Example
 ///
@@ -150,7 +145,6 @@ impl State {
 ///
 /// let mut reader = TraceReader::open(bytes.as_slice()).unwrap();
 /// assert_eq!(reader.name(), "demo");
-/// assert_eq!(reader.version(), 2);
 /// let instrs: Vec<_> = reader.by_ref().collect::<Result<_, _>>().unwrap();
 /// assert_eq!(instrs.len(), 1);
 /// ```
@@ -158,13 +152,12 @@ impl State {
 pub struct TraceReader<R: Read> {
     source: R,
     name: String,
-    version: u32,
     declared: Option<u64>,
     state: State,
-    /// Byte offset where records (v1) or chunks (v2) begin.
+    /// Byte offset where the chunks begin.
     data_start: u64,
     /// Chunk index for random access; built by [`TraceReader::open_indexed`]
-    /// or lazily by [`TraceReader::seek_to_record`] (v2 + `Seek` only).
+    /// or lazily by [`TraceReader::seek_to_record`] (`Seek` only).
     index: Option<ChunkIndex>,
 }
 
@@ -174,8 +167,9 @@ impl<R: Read> TraceReader<R> {
     /// # Errors
     ///
     /// [`TraceDecodeError::BadMagic`] if the stream is not a PIF trace,
-    /// [`TraceDecodeError::BadVersion`] for unknown versions, and
-    /// `Corrupt`/`Io` for malformed or unreadable headers.
+    /// [`TraceDecodeError::BadVersion`] for any version but 2 (including
+    /// the retired v1 layout), and `Corrupt`/`Io` for malformed or
+    /// unreadable headers.
     pub fn open(mut source: R) -> Result<Self, TraceDecodeError> {
         let mut magic = [0u8; 4];
         source.read_exact(&mut magic)?;
@@ -183,7 +177,7 @@ impl<R: Read> TraceReader<R> {
             return Err(TraceDecodeError::BadMagic);
         }
         let version = read_u32(&mut source)?;
-        if version != VERSION_V1 && version != VERSION_V2 {
+        if version != VERSION_V2 {
             return Err(TraceDecodeError::BadVersion(version));
         }
         let name_len = read_u32(&mut source)?;
@@ -194,23 +188,12 @@ impl<R: Read> TraceReader<R> {
         source.read_exact(&mut name_bytes)?;
         let name = String::from_utf8(name_bytes)
             .map_err(|_| TraceDecodeError::Corrupt("name is not UTF-8"))?;
-        let header_bytes = (4 + 4 + 4 + name.len()) as u64;
-        let (state, declared, data_start) = if version == VERSION_V1 {
-            let count = read_u64(&mut source)?;
-            (
-                State::V1 { remaining: count },
-                Some(count),
-                header_bytes + 8,
-            )
-        } else {
-            (State::v2_start(), None, header_bytes)
-        };
+        let data_start = (4 + 4 + 4 + name.len()) as u64;
         Ok(TraceReader {
             source,
             name,
-            version,
-            declared,
-            state,
+            declared: None,
+            state: State::start(),
             data_start,
             index: None,
         })
@@ -221,13 +204,8 @@ impl<R: Read> TraceReader<R> {
         &self.name
     }
 
-    /// Format version (1 or 2).
-    pub fn version(&self) -> u32 {
-        self.version
-    }
-
-    /// Total record count, when known: from the header for v1, from the
-    /// terminator (i.e. only after full iteration) for v2.
+    /// Total record count, when known: from the chunk index, or from the
+    /// terminator once iteration has reached it.
     pub fn declared_count(&self) -> Option<u64> {
         self.declared
     }
@@ -245,9 +223,9 @@ impl<R: Read> TraceReader<R> {
     /// Hashes the remaining records with [`crate::TraceHasher`],
     /// consuming the reader.
     ///
-    /// The digest depends only on record content, never on container
-    /// format: a v1 file and its v2 conversion hash identically, as does
-    /// the generator stream the file was recorded from.
+    /// The digest depends only on record content, never on chunking: a
+    /// file hashes identically at any chunk size, and as the generator
+    /// stream it was recorded from.
     ///
     /// # Errors
     ///
@@ -265,55 +243,14 @@ impl<R: Read> TraceReader<R> {
         }
     }
 
-    fn next_v1(&mut self) -> Result<Option<RetiredInstr>, TraceDecodeError> {
-        let State::V1 { remaining } = &mut self.state else {
-            unreachable!()
-        };
-        if *remaining == 0 {
-            return Ok(None);
-        }
-        *remaining -= 1;
-        let mut head = [0u8; 10];
-        self.source.read_exact(&mut head)?;
-        let pc = u64::from_le_bytes(head[0..8].try_into().expect("8-byte slice"));
-        let tl_byte = head[8];
-        if tl_byte as usize >= TrapLevel::COUNT {
-            return Err(TraceDecodeError::Corrupt("invalid trap level"));
-        }
-        let trap_level = TrapLevel::from_index(tl_byte as usize);
-        let branch = match head[9] {
-            0 => None,
-            1 => {
-                let mut body = [0u8; 18];
-                self.source.read_exact(&mut body)?;
-                let kind = kind_from_bits(body[0])?;
-                let taken = body[1] != 0;
-                let taken_target = u64::from_le_bytes(body[2..10].try_into().expect("8 bytes"));
-                let fall_through = u64::from_le_bytes(body[10..18].try_into().expect("8 bytes"));
-                Some(BranchInfo {
-                    kind,
-                    taken,
-                    taken_target: Address::new(taken_target),
-                    fall_through: Address::new(fall_through),
-                })
-            }
-            _ => return Err(TraceDecodeError::Corrupt("invalid branch flag")),
-        };
-        Ok(Some(RetiredInstr {
-            pc: Address::new(pc),
-            trap_level,
-            branch,
-        }))
-    }
-
-    /// Serves the next record of the current v2 chunk when it is already
+    /// Serves the next record of the current chunk when it is already
     /// decoded — the per-record fast path of [`Instrs`] and [`InstrsMut`].
-    /// `None` means the chunk is drained (or the reader is not mid-v2):
-    /// the caller falls back to [`Iterator::next`], which loads the next
+    /// `None` means the chunk is drained (or the reader has failed): the
+    /// caller falls back to [`Iterator::next`], which loads the next
     /// chunk, verifies the terminator, or reports an error.
     #[inline]
     fn next_decoded(&mut self) -> Option<RetiredInstr> {
-        let State::V2 {
+        let State::Chunks {
             decoded,
             next,
             records_read,
@@ -328,8 +265,8 @@ impl<R: Read> TraceReader<R> {
         Some(instr)
     }
 
-    fn next_v2(&mut self) -> Result<Option<RetiredInstr>, TraceDecodeError> {
-        let State::V2 {
+    fn next_chunked(&mut self) -> Result<Option<RetiredInstr>, TraceDecodeError> {
+        let State::Chunks {
             raw,
             decoded,
             next,
@@ -378,10 +315,23 @@ impl<R: Read> TraceReader<R> {
 
     /// The chunk index, when one has been built — by
     /// [`TraceReader::open_indexed`] or a previous
-    /// [`TraceReader::seek_to_record`]. Always `None` for v1 files, which
-    /// have no chunks.
+    /// [`TraceReader::seek_to_record`].
     pub fn chunk_index(&self) -> Option<&ChunkIndex> {
         self.index.as_ref()
+    }
+
+    /// The file's summary, read off its chunk index: `None` until the
+    /// index is built ([`TraceReader::open_indexed`] or a seek).
+    pub fn info(&self) -> Option<TraceInfo> {
+        let index = self.index.as_ref()?;
+        let chunk_bytes: u64 = index.entries.iter().map(|e| 8 + e.payload_len as u64).sum();
+        Some(TraceInfo {
+            name: self.name.clone(),
+            records: index.total_records,
+            chunks: index.entries.len() as u64,
+            // Header, chunks, then the 16-byte terminator.
+            bytes: self.data_start + chunk_bytes + 16,
+        })
     }
 
     /// As [`TraceReader::instrs`] but borrowing, so the reader can be
@@ -396,9 +346,8 @@ impl<R: Read> TraceReader<R> {
 }
 
 impl<R: Read + Seek> TraceReader<R> {
-    /// Opens a trace and eagerly builds its [`ChunkIndex`] (v2; a v1 file
-    /// opens normally but has no chunks to index), leaving the reader
-    /// positioned at the first record.
+    /// Opens a trace and eagerly builds its [`ChunkIndex`], leaving the
+    /// reader positioned at the first record.
     ///
     /// Building the index reads only the 8-byte chunk headers and the
     /// terminator — payload bytes are seeked over, so indexing a
@@ -412,16 +361,13 @@ impl<R: Read + Seek> TraceReader<R> {
     /// corruption found while walking the chunk headers.
     pub fn open_indexed(source: R) -> Result<Self, TraceDecodeError> {
         let mut reader = Self::open(source)?;
-        if reader.version == VERSION_V2 {
-            reader.build_index()?;
-        }
+        reader.build_index()?;
         Ok(reader)
     }
 
-    /// Scans the v2 chunk headers into an index, then rewinds to the
-    /// first chunk with fresh decode state.
+    /// Scans the chunk headers into an index, then rewinds to the first
+    /// chunk with fresh decode state.
     fn build_index(&mut self) -> Result<(), TraceDecodeError> {
-        debug_assert_eq!(self.version, VERSION_V2);
         self.source.seek(SeekFrom::Start(self.data_start))?;
         let mut entries = Vec::new();
         let mut pos = self.data_start;
@@ -459,34 +405,8 @@ impl<R: Read + Seek> TraceReader<R> {
             total_records: records,
         });
         self.source.seek(SeekFrom::Start(self.data_start))?;
-        self.state = State::v2_start();
+        self.state = State::start();
         Ok(())
-    }
-
-    /// As [`TraceReader::open_indexed`] but installing a previously built
-    /// [`ChunkIndex`] instead of rescanning the chunk headers — for
-    /// concurrent samplers opening many readers over the same v2 file:
-    /// the file is indexed once and each reader's open costs only the
-    /// container-header read.
-    ///
-    /// The index is trusted to describe this file (it came from an
-    /// earlier [`TraceReader::open_indexed`]/[`TraceReader::seek_to_record`]
-    /// over the same bytes); a mismatched index surfaces as a decode
-    /// error when its offsets land mid-record.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`TraceReader::open`] reports, plus
-    /// [`TraceDecodeError::Corrupt`] if the file is v1 (which has no
-    /// chunks to index).
-    pub fn open_with_index(source: R, index: ChunkIndex) -> Result<Self, TraceDecodeError> {
-        let mut reader = Self::open(source)?;
-        if reader.version != VERSION_V2 {
-            return Err(TraceDecodeError::Corrupt("chunk index over a v1 trace"));
-        }
-        reader.declared = Some(index.total_records());
-        reader.index = Some(index);
-        Ok(reader)
     }
 
     /// Repositions the reader so the next record yielded is record `n`
@@ -498,12 +418,11 @@ impl<R: Read + Seek> TraceReader<R> {
     /// iteration streams to the end of the trace exactly as if the first
     /// `n` records had been read and discarded.
     ///
-    /// For v2 this is random access: the chunk index (built on first use
-    /// if [`TraceReader::open_indexed`] was not used) locates the chunk
+    /// This is random access: the chunk index (built on first use if
+    /// [`TraceReader::open_indexed`] was not used) locates the chunk
     /// holding `n`, one `Seek` lands on it, and at most `n`'s intra-chunk
     /// prefix is decoded — skipped regions of the trace are never
-    /// decompressed. v1 files have no chunk structure, so the fallback
-    /// rewinds and linearly skips `n` records.
+    /// decompressed.
     ///
     /// Seeking also recovers a reader whose previous iteration failed,
     /// since all decode state is rebuilt.
@@ -512,12 +431,8 @@ impl<R: Read + Seek> TraceReader<R> {
     ///
     /// [`TraceDecodeError::SeekPastEnd`] when `n` exceeds the total
     /// record count, I/O errors from seeking, and corruption in the
-    /// chunk holding `n` (or, for v1, anywhere in the first `n`
-    /// records).
+    /// chunk holding `n`.
     pub fn seek_to_record(&mut self, n: u64) -> Result<(), TraceDecodeError> {
-        if self.version == VERSION_V1 {
-            return self.seek_v1(n);
-        }
         if self.index.is_none() {
             self.build_index()?;
         }
@@ -533,7 +448,7 @@ impl<R: Read + Seek> TraceReader<R> {
             // Exactly at the end: cleanly exhausted, terminator verified
             // by the index build.
             self.declared = Some(total);
-            self.state = State::V2 {
+            self.state = State::Chunks {
                 raw: Vec::new(),
                 decoded: Vec::new(),
                 next: 0,
@@ -551,32 +466,13 @@ impl<R: Read + Seek> TraceReader<R> {
         // earlier chunk was skipped wholesale).
         let mut decoded = Vec::new();
         decode_chunk(&raw, entry.records, &mut decoded)?;
-        self.state = State::V2 {
+        self.state = State::Chunks {
             raw,
             decoded,
             next: (n - entry.first_record) as usize,
             records_read: n,
             done: false,
         };
-        Ok(())
-    }
-
-    /// v1 fallback: rewind to the first record and linearly decode-and-
-    /// discard (fixed-width-ish records cannot be skipped blind because
-    /// branch records are wider).
-    fn seek_v1(&mut self, n: u64) -> Result<(), TraceDecodeError> {
-        let total = self.declared.expect("v1 header carries a count");
-        if n > total {
-            return Err(TraceDecodeError::SeekPastEnd {
-                requested: n,
-                total,
-            });
-        }
-        self.source.seek(SeekFrom::Start(self.data_start))?;
-        self.state = State::V1 { remaining: total };
-        for _ in 0..n {
-            self.next_v1()?;
-        }
         Ok(())
     }
 }
@@ -586,8 +482,7 @@ impl<R: Read> Iterator for TraceReader<R> {
 
     fn next(&mut self) -> Option<Self::Item> {
         let result = match &self.state {
-            State::V1 { .. } => self.next_v1(),
-            State::V2 { .. } => self.next_v2(),
+            State::Chunks { .. } => self.next_chunked(),
             State::Failed => return None,
         };
         match result {
@@ -625,7 +520,7 @@ impl<R: Read> Instrs<R> {
         self.error.take()
     }
 
-    /// The underlying reader (e.g. for name/version metadata).
+    /// The underlying reader (e.g. for the workload name).
     pub fn reader(&self) -> &TraceReader<R> {
         &self.reader
     }
@@ -697,17 +592,15 @@ impl<R: Read> Iterator for InstrsMut<'_, R> {
     }
 }
 
-/// Summary of a trace file, gathered without decoding record payloads
-/// (v2 chunks are skipped via their headers; v1 records are walked).
+/// Summary of a trace file, gathered from its header and chunk headers
+/// without decoding record payloads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceInfo {
     /// Workload name from the header.
     pub name: String,
-    /// Format version (1 or 2).
-    pub version: u32,
     /// Total records.
     pub records: u64,
-    /// Number of data chunks (0 for v1, which is unchunked).
+    /// Number of data chunks.
     pub chunks: u64,
     /// Total encoded size in bytes, header included.
     pub bytes: u64,
@@ -723,71 +616,17 @@ impl TraceInfo {
     }
 }
 
-/// Scans a trace stream's structure without materializing records.
-///
-/// For v2 this reads only the 8-byte chunk headers and skips payloads —
-/// the "skippable chunks" fast path — then verifies the terminator's
-/// total. For v1 it walks records (they are not skippable) but allocates
-/// nothing.
+/// Scans a trace's structure without materializing records: the one
+/// chunk-header walk of [`TraceReader::open_indexed`], which reads only
+/// the 8-byte chunk headers, seeks over payloads and verifies the
+/// terminator's total.
 ///
 /// # Errors
 ///
 /// Any header/structure corruption or I/O failure.
-pub fn scan_info<R: Read>(source: R) -> Result<TraceInfo, TraceDecodeError> {
-    let mut reader = TraceReader::open(source)?;
-    let header_bytes = (4 + 4 + 4 + reader.name.len()) as u64;
-    if reader.version == VERSION_V1 {
-        let declared = reader.declared_count().expect("v1 header carries a count");
-        let mut bytes = header_bytes + 8;
-        for result in reader.by_ref() {
-            bytes += if result?.branch.is_some() { 28 } else { 10 };
-        }
-        Ok(TraceInfo {
-            name: reader.name,
-            version: VERSION_V1,
-            records: declared,
-            chunks: 0,
-            bytes,
-        })
-    } else {
-        let mut bytes = header_bytes;
-        let mut records = 0u64;
-        let mut chunks = 0u64;
-        loop {
-            let count = read_u32(&mut reader.source)?;
-            let payload_len = read_u32(&mut reader.source)?;
-            bytes += 8;
-            if count == 0 {
-                if payload_len != 8 {
-                    return Err(TraceDecodeError::Corrupt("malformed terminator"));
-                }
-                let total = read_u64(&mut reader.source)?;
-                bytes += 8;
-                if total != records {
-                    return Err(TraceDecodeError::Corrupt("record count mismatch"));
-                }
-                return Ok(TraceInfo {
-                    name: reader.name,
-                    version: VERSION_V2,
-                    records,
-                    chunks,
-                    bytes,
-                });
-            }
-            validate_chunk_header(count, payload_len)?;
-            let skipped = io::copy(
-                &mut reader.source.by_ref().take(payload_len as u64),
-                &mut io::sink(),
-            )
-            .map_err(TraceDecodeError::from)?;
-            if skipped != payload_len as u64 {
-                return Err(TraceDecodeError::Corrupt("truncated"));
-            }
-            bytes += payload_len as u64;
-            records += count as u64;
-            chunks += 1;
-        }
-    }
+pub fn scan_info<R: Read + Seek>(source: R) -> Result<TraceInfo, TraceDecodeError> {
+    let reader = TraceReader::open_indexed(source)?;
+    Ok(reader.info().expect("open_indexed builds the index"))
 }
 
 /// Encodes a slice of instructions as an in-memory v2 trace.
@@ -799,34 +638,14 @@ pub fn encode_v2(name: &str, instrs: &[RetiredInstr]) -> Vec<u8> {
     writer.finish().expect("Vec sink cannot fail")
 }
 
-/// Decodes an in-memory trace of either version into `(name, records)`.
+/// Decodes an in-memory trace into `(name, records)`.
 ///
 /// # Errors
 ///
-/// Any decode error, and `Corrupt("record count exceeds payload")` up
-/// front for a v1 header declaring more records than the input can hold.
-/// Unlike the streaming path this materializes the whole trace, so
-/// prefer [`TraceReader`] for large files.
+/// Any decode error. Unlike the streaming path this materializes the
+/// whole trace, so prefer [`TraceReader`] for large files.
 pub fn decode(data: &[u8]) -> Result<(String, Vec<RetiredInstr>), TraceDecodeError> {
     let mut reader = TraceReader::open(data)?;
-    let mut capacity = 0;
-    if let Some(count) = reader.declared_count() {
-        // A v1 header's count is untrusted. Every v1 record costs at
-        // least 10 bytes, so a count the rest of the input cannot hold is
-        // corrupt on its face: fail before decoding or allocating, instead
-        // of looping toward a truncation error millions of records later.
-        let payload = data.len() as u64 - reader.data_start;
-        if count
-            .checked_mul(V1_MIN_RECORD_BYTES)
-            .is_none_or(|needed| needed > payload)
-        {
-            return Err(TraceDecodeError::Corrupt("record count exceeds payload"));
-        }
-        capacity = count as usize;
-    }
-    let mut instrs = Vec::with_capacity(capacity);
-    for result in reader.by_ref() {
-        instrs.push(result?);
-    }
+    let instrs = reader.by_ref().collect::<Result<_, _>>()?;
     Ok((reader.name, instrs))
 }

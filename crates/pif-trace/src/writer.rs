@@ -192,7 +192,7 @@ impl<W: Write> TraceWriter<W> {
 /// is removed on drop, and a temp file orphaned by a hard kill never
 /// shadows the destination because its name carries the writing PID.
 ///
-/// `tracectl record`/`convert` write through this type, which is what
+/// `tracectl record` writes through this type, which is what
 /// makes killing a long record safe to retry.
 #[derive(Debug)]
 pub struct AtomicTraceWriter {
@@ -388,7 +388,7 @@ mod tests {
             .unwrap();
         }
         let bytes = w.finish().unwrap();
-        let info = crate::scan_info(bytes.as_slice()).unwrap();
+        let info = crate::scan_info(std::io::Cursor::new(&bytes)).unwrap();
         assert_eq!(info.records, n, "every record decodes back");
         assert!(info.chunks >= 2, "byte cap must have split the stream");
     }

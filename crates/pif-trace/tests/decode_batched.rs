@@ -1,7 +1,7 @@
 //! Differential proptests: the batched chunk decode behind
 //! [`TraceReader`] must equal a record-at-a-time reference decode built
-//! directly on `decode_record` — over arbitrary chunk contents, the v1
-//! fallback, and truncated files.
+//! directly on `decode_record` — over arbitrary chunk contents and
+//! truncated files.
 //!
 //! The reference walks the container byte-for-byte per the crate-level
 //! format spec and decodes each record individually, i.e. exactly what
@@ -11,7 +11,7 @@
 //! path to `decode_record` record for record and error for error, on
 //! valid and malformed payloads alike.
 
-use pif_trace::codec::{decode_chunk, decode_record, encode_record, encode_v1};
+use pif_trace::codec::{decode_chunk, decode_record, encode_record};
 use pif_trace::{TraceDecodeError, TraceReader, TraceWriter, MAGIC};
 use pif_types::{Address, BranchInfo, BranchKind, RetiredInstr, TrapLevel};
 use proptest::prelude::*;
@@ -193,27 +193,6 @@ proptest! {
         prop_assert!(batched.len() <= reference.len());
         prop_assert_eq!(&batched[..], &reference[..batched.len()]);
         prop_assert_eq!(&batched[..], &instrs[..batched.len()]);
-    }
-
-    /// v1 fallback: unchunked fixed-width records take the
-    /// record-at-a-time path and still decode exactly.
-    #[test]
-    fn v1_fallback_decodes_exactly(
-        instrs in proptest::collection::vec(instr_strategy(), 0..150),
-        cut_seed in 0usize..4096,
-    ) {
-        let bytes = encode_v1("v1", &instrs);
-        let (full, err) = stream(&bytes);
-        prop_assert!(err.is_none());
-        prop_assert_eq!(&full, &instrs);
-        // Truncated v1 yields a prefix plus an error (unless the cut
-        // only removed zero records, impossible here: v1 has no
-        // terminator, the header count is the contract).
-        let cut = cut_seed % bytes.len();
-        let (prefix, err) = stream(&bytes[..cut]);
-        prop_assert!(err.is_some() || (cut == 0 && instrs.is_empty()));
-        prop_assert!(prefix.len() <= instrs.len());
-        prop_assert_eq!(&prefix[..], &instrs[..prefix.len()]);
     }
 }
 

@@ -1,4 +1,4 @@
-//! `tracectl` — record, inspect, convert, and preview PIF trace files.
+//! `tracectl` — record, inspect, and preview PIF trace files.
 //!
 //! ```text
 //! tracectl record <workload> <out.pift> [-n N] [--scale F] [--seed-offset K] [--chunk N]
@@ -6,7 +6,6 @@
 //! tracectl record-corpus <bin-dir> <out-dir> [-n N] [--seed S]
 //! tracectl gen-elf <out>
 //! tracectl info <file.pift> [--chunks]
-//! tracectl convert <in.pift> <out.pift> [--chunk N]
 //! tracectl head <file.pift> [-n N]
 //! tracectl hash <file.pift>
 //! ```
@@ -19,23 +18,21 @@
 //! deterministic hand-assembled demo ELF that CI goldens are gated on.
 //!
 //! `record` streams a synthetic workload straight into a compressed v2
-//! trace (bounded memory, any length). Both `record` and `convert` write
-//! through a temp file that is fsynced and atomically renamed over the
-//! destination, so a killed run leaves either no output file or a fully
-//! valid trace — never a torn one. `info` reads only headers and chunk
-//! frames; `--chunks` additionally prints the per-chunk random-access
-//! table (the index sampled simulation seeks with). `convert` upgrades
-//! legacy v1 files, which nothing writes any more, to v2 (or re-chunks
-//! v2 files) as a stream. `head` prints the first records. `hash`
-//! prints the container-independent content hash (`pif-trace`'s FNV-1a 64
-//! canonical record digest) — the trace half of `pif-lab`'s result-cache
-//! key; a v1 file and its v2 conversion print the same digest.
+//! trace (bounded memory, any length, `--chunk` records per chunk). It
+//! writes through a temp file that is fsynced and atomically renamed over
+//! the destination, so a killed run leaves either no output file or a
+//! fully valid trace — never a torn one. `info` reads only headers and
+//! chunk frames; `--chunks` additionally prints the per-chunk
+//! random-access table (the index sampled simulation seeks with). `head`
+//! prints the first records. `hash` prints the chunking-independent
+//! content hash (`pif-trace`'s FNV-1a 64 canonical record digest) — the
+//! trace half of `pif-lab`'s result-cache key.
 
 use std::fs::File;
 use std::io::BufReader;
 use std::process::ExitCode;
 
-use pif_trace::{scan_info, AtomicTraceWriter, TraceReader, DEFAULT_CHUNK_RECORDS};
+use pif_trace::{AtomicTraceWriter, TraceReader, DEFAULT_CHUNK_RECORDS, VERSION_V2};
 use pif_workloads::WorkloadProfile;
 
 fn usage() -> ExitCode {
@@ -46,7 +43,6 @@ fn usage() -> ExitCode {
          tracectl record-corpus <bin-dir> <out-dir> [-n N] [--seed S]\n  \
          tracectl gen-elf <out>\n  \
          tracectl info <file.pift> [--chunks]\n  \
-         tracectl convert <in.pift> <out.pift> [--chunk N]\n  \
          tracectl head <file.pift> [-n N]\n  \
          tracectl hash <file.pift>\n\n\
          workloads: {}",
@@ -260,33 +256,22 @@ fn info(opts: &Opts) -> ExitCode {
         Ok(f) => f,
         Err(e) => return fail(path, e),
     };
-    let info = match scan_info(BufReader::new(file)) {
-        Ok(info) => info,
+    // One walk over the 8-byte chunk headers (payloads are seeked over)
+    // yields both the summary and the random-access table.
+    let reader = match TraceReader::open_indexed(BufReader::new(file)) {
+        Ok(r) => r,
         Err(e) => return fail(path, e),
     };
+    let info = reader.info().expect("open_indexed builds the index");
     println!("file:          {path}");
     println!("name:          {}", info.name);
-    println!("version:       {}", info.version);
+    println!("version:       {VERSION_V2}");
     println!("records:       {}", info.records);
     println!("chunks:        {}", info.chunks);
     println!("bytes:         {}", info.bytes);
     println!("bytes/record:  {:.2}", info.bytes_per_record());
     if opts.chunks {
-        if info.version == 1 {
-            println!("\nv1 files are unchunked; no random-access table.");
-            return ExitCode::SUCCESS;
-        }
-        // Re-open with the indexing reader: only the 8-byte chunk
-        // headers are read, payloads are seeked over.
-        let file = match File::open(path) {
-            Ok(f) => f,
-            Err(e) => return fail(path, e),
-        };
-        let reader = match TraceReader::open_indexed(BufReader::new(file)) {
-            Ok(r) => r,
-            Err(e) => return fail(path, e),
-        };
-        let index = reader.chunk_index().expect("v2 index");
+        let index = reader.chunk_index().expect("open_indexed builds the index");
         println!(
             "\n{:>6}  {:>12}  {:>8}  {:>12}  {:>10}  {:>8}",
             "CHUNK", "FIRST_REC", "RECORDS", "OFFSET", "PAYLOAD_B", "B/REC"
@@ -306,46 +291,6 @@ fn info(opts: &Opts) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn convert(opts: &Opts) -> ExitCode {
-    let [input, output] = opts.positional.as_slice() else {
-        return usage();
-    };
-    let in_file = match File::open(input) {
-        Ok(f) => f,
-        Err(e) => return fail(input, e),
-    };
-    let mut reader = match TraceReader::open(BufReader::new(in_file)) {
-        Ok(r) => r,
-        Err(e) => return fail(input, e),
-    };
-    let name = reader.name().to_string();
-    let mut writer = match AtomicTraceWriter::create(output, &name, opts.chunk) {
-        Ok(w) => w,
-        Err(e) => return fail(output, e),
-    };
-    for result in reader.by_ref() {
-        let instr = match result {
-            Ok(i) => i,
-            Err(e) => return fail(input, e),
-        };
-        if let Err(e) = writer.push(&instr) {
-            return fail(output, e);
-        }
-    }
-    let records = writer.records_written();
-    if let Err(e) = writer.finish() {
-        return fail(output, e);
-    }
-    let in_bytes = std::fs::metadata(input).map(|m| m.len()).unwrap_or(0);
-    let out_bytes = std::fs::metadata(output).map(|m| m.len()).unwrap_or(0);
-    println!(
-        "converted {name} v{} → v2 · {records} records · {in_bytes} → {out_bytes} bytes ({:.2}x smaller)",
-        reader.version(),
-        in_bytes as f64 / out_bytes.max(1) as f64,
-    );
-    ExitCode::SUCCESS
-}
-
 fn head(opts: &Opts) -> ExitCode {
     let [path] = opts.positional.as_slice() else {
         return usage();
@@ -359,7 +304,7 @@ fn head(opts: &Opts) -> ExitCode {
         Ok(r) => r,
         Err(e) => return fail(path, e),
     };
-    println!("{} (v{})", reader.name(), reader.version());
+    println!("{} (v{VERSION_V2})", reader.name());
     for (idx, result) in reader.by_ref().take(n).enumerate() {
         match result {
             Ok(instr) => {
@@ -421,7 +366,6 @@ fn main() -> ExitCode {
         "record-corpus" => record_corpus(&opts),
         "gen-elf" => gen_elf(&opts),
         "info" => info(&opts),
-        "convert" => convert(&opts),
         "head" => head(&opts),
         "hash" => hash(&opts),
         _ => usage(),

@@ -53,19 +53,18 @@ pub use program::{CallGraphStats, FunctionLayout, ProgramImage, Site};
 pub use stream::TraceStream;
 pub use trace::{Trace, TraceStats};
 
-// Legacy v1 traces of generated workloads, through the one v1 codec:
-// decoded by `pif_trace::decode` and `TraceReader`, built for tests by
-// `pif_trace::codec::encode_v1`.
+// Generated workloads through the trace codec: encoded by
+// `pif_trace::encode_v2`, decoded by `pif_trace::decode` and
+// `TraceReader`.
 #[cfg(test)]
 mod io {
-    use pif_trace::codec::encode_v1;
-    use pif_trace::{decode, TraceDecodeError, TraceReader, MAGIC};
+    use pif_trace::{decode, encode_v2, TraceDecodeError, TraceReader, MAGIC, MAX_CHUNK_RECORDS};
     use pif_types::{Address, BranchInfo, BranchKind, RetiredInstr, TrapLevel};
 
     use crate::{Trace, WorkloadProfile};
 
     fn encode_trace(trace: &Trace) -> Vec<u8> {
-        encode_v1(trace.name(), trace.instrs())
+        encode_v2(trace.name(), trace.instrs())
     }
 
     fn decode_trace(data: &[u8]) -> Result<Trace, TraceDecodeError> {
@@ -121,20 +120,26 @@ mod io {
 
         #[test]
         fn absurd_record_count_fails_fast() {
-            // A header declaring u64::MAX records over an empty payload
-            // must be rejected before any decode loop or allocation.
+            // A chunk header declaring more records than its payload can
+            // hold (every record costs at least 2 bytes) must be rejected
+            // before any decode loop or allocation.
             let t = Trace::new("x", vec![]);
-            let mut bytes = encode_trace(&t);
-            let count_offset = bytes.len() - 8;
-            bytes[count_offset..].copy_from_slice(&u64::MAX.to_le_bytes());
+            let header = encode_trace(&t).len() - 16; // strip the terminator
+            let chunk = |records: u32, payload: &[u8]| {
+                let mut bytes = encode_trace(&t);
+                bytes.truncate(header);
+                bytes.extend_from_slice(&records.to_le_bytes());
+                bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+                bytes.extend_from_slice(payload);
+                bytes
+            };
             assert_eq!(
-                decode_trace(&bytes).err(),
+                decode_trace(&chunk(MAX_CHUNK_RECORDS, &[0; 4])).err(),
                 Some(TraceDecodeError::Corrupt("record count exceeds payload"))
             );
-            // Off-by-one: one declared record, zero payload bytes.
-            bytes[count_offset..].copy_from_slice(&1u64.to_le_bytes());
+            // Off-by-one: one declared record, one payload byte.
             assert_eq!(
-                decode_trace(&bytes).err(),
+                decode_trace(&chunk(1, &[0])).err(),
                 Some(TraceDecodeError::Corrupt("record count exceeds payload"))
             );
         }
@@ -159,9 +164,10 @@ mod io {
                 vec![RetiredInstr::simple(Address::new(4), TrapLevel::Tl0)],
             );
             let mut bytes = encode_trace(&t);
-            // The trap-level byte of the first record sits after the header.
-            let tl_offset = 4 + 4 + 4 + 1 + 8 + 8;
-            bytes[tl_offset] = 9;
+            // The first record's flags byte, whose low bits hold the trap
+            // level, sits after the header and the chunk header.
+            let flags_offset = 4 + 4 + 4 + 1 + 8;
+            bytes[flags_offset] = 0b11;
             assert!(decode_trace(&bytes).is_err());
         }
 

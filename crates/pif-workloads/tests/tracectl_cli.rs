@@ -7,7 +7,6 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-use pif_trace::codec::encode_v1;
 use pif_workloads::WorkloadProfile;
 
 fn tracectl(args: &[&str]) -> Output {
@@ -35,39 +34,50 @@ fn tmp_dir(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn v1_info_chunks_says_no_index_and_exits_zero() {
-    // `info --chunks` on a v1 file must not error out: v1 simply has no
-    // random-access table, and the tool says so on a clear line.
-    let dir = tmp_dir("v1-chunks");
+fn v1_files_are_rejected_naming_their_version() {
+    // The retired fixed-width v1 layout: header, then a u64 record count
+    // (zero records here). Every reading verb exits 1 with the typed
+    // version error instead of misreading the file.
+    let dir = tmp_dir("v1-rejected");
     let trace = dir.join("t.pift");
-    let generated = WorkloadProfile::oltp_db2().generate(400);
-    std::fs::write(&trace, encode_v1(generated.name(), generated.instrs())).unwrap();
+    let mut v1 = b"PIFT".to_vec();
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    v1.extend_from_slice(b"x");
+    v1.extend_from_slice(&0u64.to_le_bytes());
+    std::fs::write(&trace, v1).unwrap();
     let trace = trace.to_str().unwrap();
-    let stdout = ok(&["info", trace, "--chunks"]);
-    assert!(stdout.contains("version:       1"), "{stdout}");
-    assert!(
-        stdout.contains("v1 files are unchunked; no random-access table"),
-        "{stdout}"
-    );
-    // ...and no chunk-table header was printed after it.
-    assert!(!stdout.contains("FIRST_REC"), "{stdout}");
+    for args in [
+        &["info", trace][..],
+        &["info", trace, "--chunks"],
+        &["head", trace],
+        &["hash", trace],
+    ] {
+        let out = tracectl(args);
+        assert_eq!(out.status.code(), Some(1), "tracectl {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("unsupported trace version 1"),
+            "tracectl {args:?}: {stderr}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The v1 upgrade path end to end: `convert` rewrites a generated v1
-/// file as v2 with the same records, and `info` and `hash` agree on the
-/// record count and content hash of both files.
+/// `record` end to end: the file holds the generator's records, and
+/// `info` and `hash` agree with them on record count, chunking and
+/// content hash.
 #[test]
-fn converted_v1_trace_keeps_records_count_and_hash() {
-    let dir = tmp_dir("v1-convert");
-    let v1 = dir.join("t.v1.pift");
-    let v2 = dir.join("t.v2.pift");
+fn recorded_trace_keeps_records_count_and_hash() {
+    let dir = tmp_dir("record");
+    let trace = dir.join("t.pift");
+    let trace = trace.to_str().unwrap();
+    ok(&[
+        "record", "web-zeus", trace, "-n", "3000", "--scale", "0.05", "--chunk", "256",
+    ]);
     let generated = WorkloadProfile::web_zeus().scaled(0.05).generate(3_000);
-    std::fs::write(&v1, encode_v1(generated.name(), generated.instrs())).unwrap();
-    let (v1, v2) = (v1.to_str().unwrap(), v2.to_str().unwrap());
-    ok(&["convert", v1, v2, "--chunk", "256"]);
 
-    let (name, instrs) = pif_trace::decode(&std::fs::read(v2).unwrap()).unwrap();
+    let (name, instrs) = pif_trace::decode(&std::fs::read(trace).unwrap()).unwrap();
     assert_eq!(name, generated.name());
     assert_eq!(instrs.as_slice(), generated.instrs());
 
@@ -77,26 +87,21 @@ fn converted_v1_trace_keeps_records_count_and_hash() {
             .unwrap_or_else(|| panic!("no {key:?} line in {out}"))
             .to_string()
     };
-    let (info1, info2) = (ok(&["info", v1]), ok(&["info", v2]));
-    assert!(info1.contains("version:       1"), "{info1}");
-    assert!(info2.contains("version:       2"), "{info2}");
-    assert_eq!(line(&info1, "records:"), "records:       3000");
-    assert_eq!(line(&info2, "records:"), "records:       3000");
-    assert!(line(&info2, "chunks:").ends_with(" 12"), "{info2}");
+    let info = ok(&["info", trace]);
+    assert!(info.contains("version:       2"), "{info}");
+    assert_eq!(line(&info, "records:"), "records:       3000");
+    assert!(line(&info, "chunks:").ends_with(" 12"), "{info}");
 
-    let digest = |path: &str| {
-        ok(&["hash", path])
-            .split_whitespace()
-            .next()
-            .unwrap()
-            .to_string()
-    };
+    let digest = ok(&["hash", trace])
+        .split_whitespace()
+        .next()
+        .unwrap()
+        .to_string();
     let expected = format!(
         "{:016x}",
         pif_trace::content_hash(generated.instrs().iter().copied())
     );
-    assert_eq!(digest(v1), expected);
-    assert_eq!(digest(v2), expected);
+    assert_eq!(digest, expected);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -12,8 +12,7 @@
 //!
 //! * [`types`] — addresses, blocks, spatial regions, trace records, and
 //!   the seeded RNG and hashes every trace and cache key depends on.
-//! * [`trace`] — streaming, compressed trace files (v2); legacy v1 files
-//!   are read-only.
+//! * [`trace`] — streaming, compressed trace files (v2).
 //! * [`sim`] — caches, branch predictors, the front-end model, the
 //!   simulation engine and timing model.
 //! * [`workloads`] — the six synthetic server workload profiles.

@@ -9,9 +9,9 @@
 //! basic blocks, where block sizes, branch densities, and working-set
 //! shape are whatever rustc emitted, not what a generator chose.
 //!
-//! `#[ignore]`d like its sibling (minutes of release-mode work); CI's
-//! scheduled `acceptance` job runs it with `--ignored --release` and
-//! uploads `target/bintrace_sampled_vs_exhaustive.json`.
+//! `#[ignore]`d like its sibling (a few seconds of release-mode work on a
+//! 2-vCPU host); CI's scheduled `acceptance` job runs it with `--ignored
+//! --release` and uploads `target/bintrace_sampled_vs_exhaustive.json`.
 
 use std::io::{BufReader, BufWriter, Write as _};
 use std::sync::Arc;

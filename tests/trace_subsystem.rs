@@ -1,17 +1,17 @@
-//! End-to-end tests of the trace subsystem: golden byte fixtures for
-//! cross-version compatibility, out-of-core simulation through
-//! `Engine::run`, the v2 compression target, simulations over a decoded
-//! trace, and the execution seeds that vary a trace over one code image.
+//! End-to-end tests of the trace subsystem: golden byte fixtures,
+//! out-of-core simulation through `Engine::run`, the v2 compression
+//! target, simulations over a decoded trace, and the execution seeds that
+//! vary a trace over one code image.
 //!
-//! The golden fixtures pin the *byte layouts* of both format versions; if
-//! either codec changes its on-disk format, these tests fail before any
-//! archived trace out in the world stops decoding. The fixture bytes are
-//! reproduced by `cargo run -p pif-trace --example dump_golden`.
+//! The v2 fixture pins the on-disk byte layout: if the codec changes it,
+//! these tests fail before any archived trace out in the world stops
+//! decoding. Its bytes are reproduced by `cargo run -p pif-trace
+//! --example dump_golden`. The v1 fixture pins the retired layout's
+//! rejection: every entry point fails with the typed version error.
 
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Cursor};
 
 use pif_repro::prelude::*;
-use pif_repro::trace::codec::encode_v1;
 use pif_repro::trace::{decode, scan_info, TraceDecodeError};
 use pif_types::{BranchInfo, BranchKind};
 
@@ -32,7 +32,7 @@ fn golden_instrs() -> Vec<RetiredInstr> {
     ]
 }
 
-/// The v1 encoding of [`golden_instrs`], laid out by hand from the spec:
+/// The retired v1 encoding of [`golden_instrs`], laid out by hand:
 /// magic, version 1, name, u64 count, then 10- or 28-byte records.
 fn golden_v1_bytes() -> Vec<u8> {
     let mut b = Vec::new();
@@ -73,22 +73,16 @@ const GOLDEN_V2_BYTES: &[u8] = &[
 ];
 
 #[test]
-fn golden_v1_fixture_still_decodes_everywhere() {
+fn golden_v1_fixture_is_rejected_everywhere() {
     let bytes = golden_v1_bytes();
-
-    // The test-side v1 encoder still produces exactly this layout.
-    assert_eq!(encode_v1("golden", &golden_instrs()), bytes);
-    // The slice decoder and the streaming reader handle v1 transparently.
-    let (name, instrs) = decode(&bytes).unwrap();
-    assert_eq!(name, "golden");
-    assert_eq!(instrs, golden_instrs());
-    let mut reader = TraceReader::open(bytes.as_slice()).unwrap();
-    assert_eq!(reader.version(), 1);
-    assert_eq!(reader.declared_count(), Some(3));
+    let bad_version = Some(TraceDecodeError::BadVersion(1));
+    assert_eq!(decode(&bytes).err(), bad_version);
+    assert_eq!(TraceReader::open(bytes.as_slice()).err(), bad_version);
     assert_eq!(
-        reader.by_ref().collect::<Result<Vec<_>, _>>().unwrap(),
-        golden_instrs()
+        TraceReader::open_indexed(Cursor::new(&bytes)).err(),
+        bad_version
     );
+    assert_eq!(scan_info(Cursor::new(&bytes)).err(), bad_version);
 }
 
 #[test]
@@ -101,16 +95,18 @@ fn golden_v2_fixture_is_byte_stable() {
     let (name, instrs) = decode(GOLDEN_V2_BYTES).unwrap();
     assert_eq!(name, "golden");
     assert_eq!(instrs, golden_instrs());
-    let info = scan_info(GOLDEN_V2_BYTES).unwrap();
+    let info = scan_info(Cursor::new(GOLDEN_V2_BYTES)).unwrap();
     assert_eq!((info.records, info.chunks), (3, 1));
     assert_eq!(info.bytes, GOLDEN_V2_BYTES.len() as u64);
 }
 
 #[test]
-fn generated_v1_traces_decode_via_streaming_reader() {
+fn generated_traces_decode_via_streaming_reader() {
     let trace = WorkloadProfile::dss_qry17().scaled(0.05).generate(20_000);
-    let v1 = encode_v1(trace.name(), trace.instrs());
-    let mut source = TraceReader::open(v1.as_slice()).unwrap().instrs();
+    let mut writer = TraceWriter::with_chunk_records(Vec::new(), trace.name(), 1024).unwrap();
+    writer.extend(trace.instrs().iter().copied()).unwrap();
+    let bytes = writer.finish().unwrap();
+    let mut source = TraceReader::open(bytes.as_slice()).unwrap().instrs();
     let streamed: Vec<_> = source.by_ref().collect();
     assert!(source.error().is_none());
     assert_eq!(streamed.as_slice(), trace.instrs());
@@ -119,14 +115,25 @@ fn generated_v1_traces_decode_via_streaming_reader() {
 #[test]
 fn v2_is_at_least_2x_smaller_than_v1_on_oltp_db2() {
     let trace = WorkloadProfile::oltp_db2().scaled(0.2).generate(100_000);
-    let v1 = encode_v1(trace.name(), trace.instrs());
+    // v1's size from its layout: header, u64 count, then 10 bytes per
+    // plain record and 28 per branch.
+    let v1_len: usize = 4
+        + 4
+        + 4
+        + trace.name().len()
+        + 8
+        + trace
+            .instrs()
+            .iter()
+            .map(|i| if i.branch.is_some() { 28 } else { 10 })
+            .sum::<usize>();
     let v2 = pif_repro::trace::encode_v2(trace.name(), trace.instrs());
     assert!(
-        v2.len() * 2 <= v1.len(),
+        v2.len() * 2 <= v1_len,
         "v2 {} bytes vs v1 {} bytes ({:.2}x)",
         v2.len(),
-        v1.len(),
-        v1.len() as f64 / v2.len() as f64
+        v1_len,
+        v1_len as f64 / v2.len() as f64
     );
 }
 
@@ -258,28 +265,9 @@ fn execution_seeds_share_the_code_image() {
 }
 
 #[test]
-fn v1_to_v2_conversion_preserves_records() {
-    let trace = WorkloadProfile::web_zeus().scaled(0.05).generate(10_000);
-    let v1 = encode_v1(trace.name(), trace.instrs());
-
-    // Stream-convert exactly as `tracectl convert` does.
-    let mut reader = TraceReader::open(v1.as_slice()).unwrap();
-    let mut writer = TraceWriter::new(Vec::new(), reader.name()).unwrap();
-    for result in reader.by_ref() {
-        writer.push(&result.unwrap()).unwrap();
-    }
-    let v2 = writer.finish().unwrap();
-
-    let (name, instrs) = decode(&v2).unwrap();
-    assert_eq!(name, trace.name());
-    assert_eq!(instrs.as_slice(), trace.instrs());
-    assert!(v2.len() * 2 < v1.len(), "conversion should shrink the file");
-}
-
-#[test]
 fn corrupt_files_error_cleanly_not_loudly() {
-    // An empty file, a bad magic, and an absurd v1 count all yield typed
-    // errors (comparable without matches! boilerplate).
+    // An empty file, a bad magic, and an absurd chunk record count all
+    // yield typed errors (comparable without matches! boilerplate).
     assert!(decode(&[]).is_err());
     assert_eq!(
         TraceReader::open(&b"XXXX\x01\x00\x00\x00"[..]).err(),
@@ -287,9 +275,10 @@ fn corrupt_files_error_cleanly_not_loudly() {
     );
     let mut absurd = Vec::new();
     absurd.extend_from_slice(b"PIFT");
-    absurd.extend_from_slice(&1u32.to_le_bytes());
+    absurd.extend_from_slice(&2u32.to_le_bytes());
     absurd.extend_from_slice(&0u32.to_le_bytes());
-    absurd.extend_from_slice(&u64::MAX.to_le_bytes());
+    absurd.extend_from_slice(&1_000_000u32.to_le_bytes());
+    absurd.extend_from_slice(&0u32.to_le_bytes());
     assert_eq!(
         decode(&absurd).err(),
         Some(TraceDecodeError::Corrupt("record count exceeds payload"))
