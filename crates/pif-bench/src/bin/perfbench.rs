@@ -15,10 +15,9 @@
 //!
 //! The sampled rows (`None-sampled`, `PIF-sampled`) time the windows of
 //! a per-window sampling plan shaped like `pif-lab`'s sampled cells, run
-//! one after another by `pif_sim::sampling::run_one_window` on one
-//! reused L2 — the path a sampled cell's windows take on one pool
-//! thread. Their throughput counts every simulated instruction, warm-up
-//! included.
+//! in trace order by `pif_sim::sampling::run_sampled` on one reused
+//! L2 — the path a sampled cell's windows take on its pool thread. Their
+//! throughput counts every simulated instruction, warm-up included.
 //!
 //! In `--smoke` mode the harness runs a reduced trace and fails (exit 1)
 //! if the no-prefetch engine's throughput drops more than 30% below the
@@ -38,7 +37,7 @@ use pif_bench::report::{
 use pif_core::{Pif, PifConfig};
 use pif_obs::json::Json;
 use pif_sim::cache::L2Model;
-use pif_sim::sampling::{assemble_report, run_one_window, SamplingPlan, WarmStrategy};
+use pif_sim::sampling::{run_sampled, SamplingPlan, WarmStrategy};
 use pif_sim::{Engine, EngineConfig, EngineProbe, NoPrefetcher, Prefetcher, RunOptions};
 use pif_types::RetiredInstr;
 use pif_workloads::WorkloadProfile;
@@ -170,10 +169,10 @@ const SAMPLED_WINDOWS: usize = 16;
 
 /// A sampled row: the windows of a per-window plan shaped like
 /// `pif-lab`'s sampled cells (random windows, warm-up twice the
-/// measurement, as much extra warm-up again per window), run in order,
-/// each on a fresh prefetcher from `mk` and on the row's one L2, reset in
-/// place per window. It reports every simulated instruction, warm-up
-/// included, and the mean UIPC over windows.
+/// measurement, as much extra warm-up again per window), run in order by
+/// [`run_sampled`], each on a fresh prefetcher from `mk` and on the row's
+/// one L2, reset in place per window. It reports every simulated
+/// instruction, warm-up included, and the mean UIPC over windows.
 fn sampled_row<'a, P: Prefetcher>(
     name: &'static str,
     config: &'a EngineConfig,
@@ -185,18 +184,16 @@ fn sampled_row<'a, P: Prefetcher>(
         .with_warm_strategy(WarmStrategy::PerWindow {
             extra_warmup_instrs: warmup,
         });
-    let total = trace.len() as u64;
-    let windows = plan.windows(total);
     let mut l2 = L2Model::new(config.l2).expect("paper L2 geometry is valid");
     let run = move || {
-        let samples = windows
-            .iter()
-            .map(|&w| {
-                let source = trace[w.warmup_start as usize..].iter().copied();
-                run_one_window(config, &plan, w, source, mk(), &mut l2)
-            })
-            .collect();
-        let report = assemble_report(&plan, total, samples);
+        let report = run_sampled(
+            config,
+            &plan,
+            trace.len() as u64,
+            |w| trace[w.warmup_start as usize..].iter().copied(),
+            |_| mk(),
+            &mut l2,
+        );
         (report.simulated_instructions(), report.uipc().mean)
     };
     (name, Box::new(run))

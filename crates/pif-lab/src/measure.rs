@@ -35,6 +35,10 @@
 //! `run_spec_impl` pre-seeds the materialized memo with the loaded
 //! trace, and every measure — engine cells included — consumes it.
 //!
+//! A sampled cell runs its windows one after another, in trace order, on
+//! its pool thread ([`pif_sim::sampling::run_sampled`]): `--threads`
+//! spreads cells over workers, never one cell's windows.
+//!
 //! Engine runs and sampled windows simulate their L2 in their thread's
 //! model ([`with_worker_l2`]), reset in place, instead of building and
 //! page-faulting a fresh 131,072-line model per run.
@@ -55,7 +59,7 @@ use pif_core::{Pif, PifConfig};
 use pif_sim::cache::L2Model;
 use pif_sim::predictor_eval::{evaluate_stream_coverage_warmup, TemporalPredictorConfig};
 use pif_sim::prefetch::Prefetcher;
-use pif_sim::sampling::{SampledRunReport, SamplingPlan, WarmStrategy};
+use pif_sim::sampling::{run_sampled, SampledRunReport, SamplingPlan, WarmStrategy};
 use pif_sim::{Engine, EngineConfig, L2Config, NoPrefetcher, RunOptions, RunReport};
 use pif_trace::{TraceDecodeError, TraceHasher, TraceReader, TraceWriter};
 use pif_types::{InstrFeed, RegionGeometry, RetiredInstr, TrapLevel};
@@ -69,9 +73,7 @@ use crate::registry::{
     DENSITY_BUCKETS, JUMP_CDF_BUCKETS, LENGTH_CDF_BUCKETS, REGION_OFFSETS, RUN_BUCKETS,
 };
 use crate::report::{Cell, Metric};
-use crate::sampled::run_sampled_parallel;
 use crate::scale::Scale;
-use crate::service::Pool;
 use crate::spec::{CdfKind, JobCoord, Measure, ParamAxis, PrefetcherKind, SweepSpec};
 
 /// Metric name for a jump-distance CDF point (`jump_cdf_le_2p07` = the
@@ -268,7 +270,7 @@ thread_local! {
 /// per `fig10` sweep, one run per window of a sampled cell — keeps one
 /// model's ~1 MiB resident instead of building and page-faulting one per
 /// run. A call nested in `f` on the same thread panics.
-pub(crate) fn with_worker_l2<R>(config: L2Config, f: impl FnOnce(&mut L2Model) -> R) -> R {
+fn with_worker_l2<R>(config: L2Config, f: impl FnOnce(&mut L2Model) -> R) -> R {
     let new = || L2Model::new(config).expect("validated geometry");
     WORKER_L2.with(|slot| f(slot.borrow_mut().get_or_insert_with(new)))
 }
@@ -314,7 +316,6 @@ pub(crate) fn run_job(
     scale: &Scale,
     workloads: &[JobWorkload],
     job: &[JobCoord],
-    pool: &Pool,
 ) -> JobCells {
     assert!(
         job.len() == 1 || matches!(spec.measure, Measure::PifAnalysis(_)),
@@ -459,10 +460,11 @@ pub(crate) fn run_job(
             // stay byte-identical across thread counts and runs.
             let seed = spec.seed_offset.wrapping_add(coord.index as u64);
             // Per-window warming with an extra warmup's worth of burn-in
-            // prepended: windows become independent units of work (the
-            // precondition for the parallel fan-out below), and the
-            // doubled warm-up prefix rebuilds the predictor state that
-            // continuous warming used to carry across windows.
+            // prepended: every window starts from fresh predictors, and
+            // the doubled warm-up prefix rebuilds the predictor state that
+            // continuous warming would carry across windows. The golden
+            // reports encode this plan; ROADMAP item 1a tracks its bias
+            // against the exhaustive run.
             let plan = SamplingPlan::random(samples, seed, warmup_instrs, measure_instrs)
                 .with_warm_strategy(WarmStrategy::PerWindow {
                     extra_warmup_instrs: warmup_instrs,
@@ -470,33 +472,21 @@ pub(crate) fn run_job(
             let kind = coord.prefetcher.unwrap_or(PrefetcherKind::None);
             let t = trace();
             let report = match kind {
-                PrefetcherKind::None => sampled_run(&engine_cfg, &plan, t, pool, || NoPrefetcher),
+                PrefetcherKind::None => sampled_run(&engine_cfg, &plan, t, || NoPrefetcher),
                 PrefetcherKind::NextLine => {
-                    sampled_run(&engine_cfg, &plan, t, pool, NextLinePrefetcher::aggressive)
+                    sampled_run(&engine_cfg, &plan, t, NextLinePrefetcher::aggressive)
                 }
                 PrefetcherKind::Tifs => {
-                    sampled_run(
-                        &engine_cfg,
-                        &plan,
-                        t,
-                        pool,
-                        || Tifs::new(Default::default()),
-                    )
+                    sampled_run(&engine_cfg, &plan, t, || Tifs::new(Default::default()))
                 }
                 PrefetcherKind::TifsUnbounded => {
-                    sampled_run(&engine_cfg, &plan, t, pool, Tifs::unbounded)
+                    sampled_run(&engine_cfg, &plan, t, Tifs::unbounded)
                 }
-                PrefetcherKind::Discontinuity => sampled_run(
-                    &engine_cfg,
-                    &plan,
-                    t,
-                    pool,
-                    DiscontinuityPrefetcher::paper_scale,
-                ),
-                PrefetcherKind::Pif => sampled_run(&engine_cfg, &plan, t, pool, || Pif::new(pif)),
-                PrefetcherKind::Perfect => {
-                    sampled_run(&engine_cfg, &plan, t, pool, || PerfectICache)
+                PrefetcherKind::Discontinuity => {
+                    sampled_run(&engine_cfg, &plan, t, DiscontinuityPrefetcher::paper_scale)
                 }
+                PrefetcherKind::Pif => sampled_run(&engine_cfg, &plan, t, || Pif::new(pif)),
+                PrefetcherKind::Perfect => sampled_run(&engine_cfg, &plan, t, || PerfectICache),
             };
             sampled_metrics(&mut cell, &plan, &report);
         }
@@ -606,25 +596,25 @@ fn engine_run(
     })
 }
 
-/// One sampled cell run: windows over the memoized workload trace, fanned
-/// out on `pool`. The cell's plan uses per-window warming, so `mk` builds
-/// one fresh prefetcher per window and the merged report is byte-identical
-/// for every worker count (see [`crate::sampled`]).
+/// One sampled cell run: the plan's windows over the memoized workload
+/// trace, in trace order on the thread's L2. The cell's plan uses
+/// per-window warming, so `mk` builds one fresh prefetcher per window.
 fn sampled_run<P: Prefetcher>(
     engine_cfg: &EngineConfig,
     plan: &SamplingPlan,
     trace: &Trace,
-    pool: &Pool,
-    mk: impl Fn() -> P + Sync,
+    mk: impl Fn() -> P,
 ) -> SampledRunReport {
-    run_sampled_parallel(
-        engine_cfg,
-        plan,
-        trace.len() as u64,
-        |w| trace.instrs()[w.warmup_start as usize..].iter().copied(),
-        |_| mk(),
-        pool,
-    )
+    with_worker_l2(engine_cfg.l2, |l2| {
+        run_sampled(
+            engine_cfg,
+            plan,
+            trace.len() as u64,
+            |w| trace.instrs()[w.warmup_start as usize..].iter().copied(),
+            |_| mk(),
+            l2,
+        )
+    })
 }
 
 fn sampled_metrics(cell: &mut Cell, plan: &SamplingPlan, report: &SampledRunReport) {
@@ -797,7 +787,6 @@ mod tests {
     fn streamed_jobs_equal_materialized_jobs() {
         use crate::registry;
         let scale = Scale::tiny();
-        let pool = Pool::new(1);
         for mut spec in [
             registry::fig2(),
             registry::fig3(),
@@ -810,11 +799,7 @@ mod tests {
             let jobs = group_jobs(&spec, &mut cells);
             let run = |workloads: &[JobWorkload]| -> Vec<Vec<Cell>> {
                 jobs.iter()
-                    .map(|job| {
-                        run_job(&spec, &scale, workloads, job, &pool)
-                            .into_iter()
-                            .collect()
-                    })
+                    .map(|job| run_job(&spec, &scale, workloads, job).into_iter().collect())
                     .collect()
             };
             let synthetic: Vec<JobWorkload> = scale

@@ -261,6 +261,13 @@ pub fn fig_sampling() -> SweepSpec {
 /// `pif-bintrace` demo fixture — so this spec (and its golden) gates the
 /// whole record-elf pipeline without making the registry depend on
 /// pre-recorded files.
+///
+/// The grid compares nothing yet: after warm-up the walk has no L1-I
+/// miss for a prefetcher to act on, so all six cells read one UIPC with
+/// 0 demand misses — in the smoke golden, at `--scale paper`, and over a
+/// `tracectl record-elf` recording of the release `piflab` binary at
+/// smoke and quick scale. The spec gates the recorded-trace pipeline and
+/// its determinism, not a prefetcher comparison.
 pub fn fig_bintrace() -> SweepSpec {
     SweepSpec::new(
         "fig-bintrace",

@@ -17,12 +17,17 @@
 //!   trace's total record count into concrete [`SampleWindow`]s —
 //!   deterministically: the same `(plan, total)` always yields the same
 //!   windows, so sampled results are reproducible bit for bit.
-//! * [`run_sampled`] — the generic driver: one engine run per window over
-//!   any [`InstrSource`] positioned at the window's warmup start.
+//! * [`run_sampled`] — the generic entry point: one engine run per
+//!   window, in trace order on the calling thread, over any
+//!   [`InstrSource`] positioned at the window's warmup start, with every
+//!   window's L2 simulated in one caller-owned [`L2Model`], reset in
+//!   place.
 //! * [`sample_trace_file`] — the out-of-core entry point: seeks each
 //!   window via `pif_trace::TraceReader::seek_to_record`, so a
 //!   multi-hundred-million-instruction file is sampled while decoding
 //!   only the sampled windows (skipped chunks are never decompressed).
+//!   It warms, runs and assembles its windows with the same code as
+//!   [`run_sampled`], so the two cannot disagree.
 //! * [`SampledRunReport`] — per-sample UIPC/MPKI/coverage with
 //!   mean/stderr/ci95 summaries.
 
@@ -50,9 +55,7 @@ pub enum SampleSelection {
     },
 }
 
-/// How prefetcher/predictor tables are warmed across samples — and,
-/// consequently, whether the plan's windows are independent units of
-/// work that a parallel driver may fan out.
+/// How prefetcher/predictor tables are warmed across samples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WarmStrategy {
     /// One prefetcher instance **and one front end** (direction tables,
@@ -66,9 +69,9 @@ pub enum WarmStrategy {
     /// Fresh predictor state per window, warmed by the window's own
     /// functional-warmup prefix plus `extra_warmup_instrs` of additional
     /// burn-in prepended to it (clamped at the trace head like ordinary
-    /// warmup). Windows share no state, so they can run in any order —
-    /// or concurrently — and still produce byte-identical reports; the
-    /// extra burn-in buys back part of the deep-history coverage that
+    /// warmup). No predictor state crosses a window boundary, so each
+    /// window's result depends on that window alone; the extra burn-in
+    /// buys back part of the deep-history coverage that
     /// [`WarmStrategy::Continuous`] accumulates from earlier samples.
     PerWindow {
         /// Additional warmup instructions prepended to every window's
@@ -145,14 +148,6 @@ impl SamplingPlan {
         self
     }
 
-    /// Whether this plan's windows are fully independent units of work
-    /// (no predictor state crosses window boundaries) — the precondition
-    /// for fanning them out on a thread pool while keeping the merged
-    /// report byte-identical to the serial run.
-    pub fn windows_independent(&self) -> bool {
-        matches!(self.warm_strategy, WarmStrategy::PerWindow { .. })
-    }
-
     /// The functional-warmup length each window actually targets: the
     /// plan's `warmup_instrs` plus any per-window burn-in the
     /// [`WarmStrategy`] adds (clamping at the trace head still applies).
@@ -176,12 +171,6 @@ impl SamplingPlan {
         let mut cfg = *config;
         cfg.l2 = cfg.l2.with_assume_warm(true);
         cfg
-    }
-
-    /// Instructions simulated per sample (warmup + measurement,
-    /// including any per-window burn-in), before end-of-trace clamping.
-    pub fn instrs_per_sample(&self) -> u64 {
-        self.effective_warmup_instrs() + self.measure_instrs
     }
 
     /// Resolves the plan against a trace of `total_records` instructions
@@ -426,15 +415,15 @@ impl<S: InstrSource> Iterator for Bounded<S> {
 /// build a fresh, fully independent prefetcher per sample. Engine-side
 /// state (caches, queues, timing) is always fresh per window.
 ///
-/// With independent windows ([`SamplingPlan::windows_independent`]) this
-/// serial loop and a pool-parallel fan-out over
-/// [`run_one_window`]/[`assemble_report`] (see
-/// `pif_lab::sampled::run_sampled_parallel`) produce byte-identical
-/// reports.
+/// Windows run one after another, in trace order, on the calling thread.
+/// Each simulates its L2 in `l2`, reset in place ([`RunOptions::l2`]), so
+/// the report is the one fresh models give while a caller that runs many
+/// sampled cells on one thread keeps one model's memory for all of them.
 ///
 /// # Example
 ///
 /// ```
+/// use pif_sim::cache::L2Model;
 /// use pif_sim::sampling::{run_sampled, SamplingPlan};
 /// use pif_sim::{EngineConfig, NoPrefetcher};
 /// use pif_types::{Address, RetiredInstr, TrapLevel};
@@ -442,13 +431,16 @@ impl<S: InstrSource> Iterator for Bounded<S> {
 /// let trace: Vec<_> = (0..100_000u64)
 ///     .map(|i| RetiredInstr::simple(Address::new((i % 4096) * 4), TrapLevel::Tl0))
 ///     .collect();
+/// let config = EngineConfig::paper_default();
+/// let mut l2 = L2Model::new(config.l2).unwrap();
 /// let plan = SamplingPlan::systematic(8, 2_000, 1_000);
 /// let report = run_sampled(
-///     &EngineConfig::paper_default(),
+///     &config,
 ///     &plan,
 ///     trace.len() as u64,
 ///     |w| trace[w.warmup_start as usize..].iter().copied(),
 ///     |_| NoPrefetcher,
+///     &mut l2,
 /// );
 /// assert_eq!(report.samples.len(), 8);
 /// assert!(report.uipc().mean > 0.0);
@@ -460,6 +452,7 @@ pub fn run_sampled<P, S, O, F>(
     total_records: u64,
     mut open_at: O,
     mut prefetcher_for: F,
+    l2: &mut L2Model,
 ) -> SampledRunReport
 where
     P: Prefetcher,
@@ -474,7 +467,7 @@ where
             inner: open_at(&window),
             left: window.len(),
         };
-        driver.run_window(window, source, || prefetcher_for(window.index));
+        driver.run_window(window, source, l2, || prefetcher_for(window.index));
     }
     driver.finish(plan, total_records)
 }
@@ -514,24 +507,22 @@ impl<P: Prefetcher> SampledDriver<P> {
     }
 
     /// Runs one window over `source` (positioned at the window's warmup
-    /// start and bounded to `window.len()` pulls by the caller). `mk` is
-    /// only invoked in per-window mode.
+    /// start and bounded to `window.len()` pulls by the caller), with its
+    /// L2 simulated in `l2`, reset in place. `mk` is only invoked in
+    /// per-window mode.
     fn run_window<S: InstrSource>(
         &mut self,
         window: SampleWindow,
         source: S,
+        l2: &mut L2Model,
         mk: impl FnOnce() -> P,
     ) {
-        let warmup = window.warmup_instrs as usize;
+        let opts = RunOptions::new()
+            .warmup(window.warmup_instrs as usize)
+            .l2(l2);
         let report = match self.shared.as_mut() {
-            Some((p, fe)) => self.engine.run(
-                source,
-                &mut *p,
-                RunOptions::new().warmup(warmup).frontend(fe),
-            ),
-            None => self
-                .engine
-                .run(source, mk(), RunOptions::new().warmup(warmup)),
+            Some((p, fe)) => self.engine.run(source, &mut *p, opts.frontend(fe)),
+            None => self.engine.run(source, mk(), opts),
         };
         self.prefetcher_name = report.prefetcher;
         self.samples.push(SampleResult { window, report });
@@ -552,6 +543,8 @@ impl<P: Prefetcher> SampledDriver<P> {
 /// skipped at chunk granularity without decompression — this is what
 /// makes a sampled run of a 10M+ instruction trace several times faster
 /// than the exhaustive run while reporting its own confidence interval.
+/// Its windows run in trace order on one L2 model, reset in place per
+/// window, exactly as [`run_sampled`]'s do.
 ///
 /// # Errors
 ///
@@ -574,12 +567,16 @@ where
         .expect("open_indexed reads the record count off the chunk index");
     let windows = plan.windows(total);
     let mut driver = SampledDriver::new(config, plan, &windows, &mut prefetcher_for);
+    let mut l2 = L2Model::new(config.l2).expect("validated geometry");
     for window in windows {
         reader.seek_to_record(window.warmup_start)?;
         let mut source = reader.instrs_mut();
-        driver.run_window(window, source.by_ref().take(window.len() as usize), || {
-            prefetcher_for(window.index)
-        });
+        driver.run_window(
+            window,
+            source.by_ref().take(window.len() as usize),
+            &mut l2,
+            || prefetcher_for(window.index),
+        );
         if let Some(e) = source.take_error() {
             return Err(e);
         }
@@ -587,77 +584,16 @@ where
     Ok(driver.finish(plan, total))
 }
 
-/// Runs exactly one sample window in isolation and returns its
-/// [`SampleResult`].
-///
-/// This is the unit of work a parallel sampled driver fans out: a fresh
-/// [`Engine`] and a fresh `prefetcher`, fed `window.len()` instructions
-/// from `source` (which must already be positioned at
-/// `window.warmup_start`). Because the engine holds no state across
-/// `run` calls, the result is byte-identical to what the serial
-/// [`run_sampled`] loop produces for the same window under
-/// [`WarmStrategy::PerWindow`] — that equivalence is what lets
-/// [`assemble_report`] splice independently-computed windows back into a
-/// report indistinguishable from a serial run.
-///
-/// Plans using [`WarmStrategy::Continuous`] thread predictor state
-/// through windows in file order and therefore cannot be decomposed this
-/// way; callers should check [`SamplingPlan::windows_independent`] and
-/// fall back to [`run_sampled`].
-///
-/// The window simulates its L2 in `l2`, reset in place
-/// ([`RunOptions::l2`]), with the result a fresh model gives: a caller
-/// that runs many windows on one thread keeps one model for all of them.
-pub fn run_one_window<P: Prefetcher, S: InstrSource>(
-    config: &EngineConfig,
-    plan: &SamplingPlan,
-    window: SampleWindow,
-    source: S,
-    prefetcher: P,
-    l2: &mut L2Model,
-) -> SampleResult {
-    let engine = Engine::new(plan.engine_config(config));
-    let bounded = Bounded {
-        inner: source,
-        left: window.len(),
-    };
-    let report = engine.run(
-        bounded,
-        prefetcher,
-        RunOptions::new()
-            .warmup(window.warmup_instrs as usize)
-            .l2(l2),
-    );
-    SampleResult { window, report }
-}
-
-/// Merges per-window [`SampleResult`]s — typically produced concurrently
-/// by [`run_one_window`] — into the [`SampledRunReport`] the serial
-/// driver would have built.
-///
-/// Samples are ordered by window index, so the report is independent of
-/// the completion (or submission) order of the windows: any thread count
-/// yields the same bytes. Burn-in is re-clamped against the actual
-/// sample count exactly as the serial driver's `finish` does.
-pub fn assemble_report(
-    plan: &SamplingPlan,
-    total_records: u64,
-    mut samples: Vec<SampleResult>,
-) -> SampledRunReport {
-    samples.sort_by_key(|s| s.window.index);
-    SampledRunReport {
-        prefetcher: samples.first().map_or("", |s| s.report.prefetcher),
-        total_records,
-        burn_in: plan.burn_in.min(samples.len()),
-        samples,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::prefetch::NoPrefetcher;
     use pif_types::{Address, TrapLevel};
+
+    /// A fresh L2 at the paper's geometry, for the windows of one run.
+    fn paper_l2() -> L2Model {
+        L2Model::new(EngineConfig::paper_default().l2).unwrap()
+    }
 
     fn looped_trace(n: u64, blocks: u64) -> Vec<RetiredInstr> {
         (0..n)
@@ -763,6 +699,7 @@ mod tests {
             trace.len() as u64,
             |w| trace[w.warmup_start as usize..].iter().copied(),
             |_| NoPrefetcher,
+            &mut paper_l2(),
         );
         assert_eq!(sampled.samples.len(), 10);
         assert_eq!(sampled.prefetcher, "None");
@@ -788,6 +725,7 @@ mod tests {
             trace.len() as u64,
             |w| trace[w.warmup_start as usize..].iter().copied(),
             |_| NoPrefetcher,
+            &mut paper_l2(),
         );
         for s in &sampled.samples {
             // Exactly the window is fed; measured retires cover the
@@ -813,6 +751,7 @@ mod tests {
             trace.len() as u64,
             |w| trace[w.warmup_start as usize..].iter().copied(),
             |_| NoPrefetcher,
+            &mut paper_l2(),
         );
         assert_eq!(sampled.samples.len(), 8, "burn-in windows still run");
         assert_eq!(sampled.burn_in, 3);
@@ -831,6 +770,7 @@ mod tests {
             trace.len() as u64,
             |w| trace[w.warmup_start as usize..].iter().copied(),
             |_| NoPrefetcher,
+            &mut paper_l2(),
         );
         assert_eq!(r.measured_samples().len(), 0);
         assert_eq!(r.uipc().mean, 0.0, "empty summary is zeros, not NaN");
@@ -860,6 +800,7 @@ mod tests {
                 trace.len() as u64,
                 |w| trace[w.warmup_start as usize..].iter().copied(),
                 |_| NoPrefetcher,
+                &mut paper_l2(),
             );
             assert_eq!(from_file.total_records, trace.len() as u64);
             assert_eq!(from_file.samples.len(), in_memory.samples.len());
@@ -878,11 +819,8 @@ mod tests {
         let extra = base.with_warm_strategy(WarmStrategy::PerWindow {
             extra_warmup_instrs: 1_500,
         });
-        assert!(!base.windows_independent());
-        assert!(extra.windows_independent());
         assert_eq!(base.effective_warmup_instrs(), 2_000);
         assert_eq!(extra.effective_warmup_instrs(), 3_500);
-        assert_eq!(extra.instrs_per_sample(), 3_500 + 1_000);
         let (a, b) = (base.windows(100_000), extra.windows(100_000));
         for (wa, wb) in a.iter().zip(&b) {
             // Same measurement windows, longer warm-up prefix (clamped at
@@ -896,80 +834,5 @@ mod tests {
             );
             assert!(wb.warmup_start <= wa.warmup_start);
         }
-    }
-
-    #[test]
-    fn run_one_window_matches_the_serial_per_window_driver() {
-        let trace = looped_trace(60_000, 1024);
-        let plan =
-            SamplingPlan::random(6, 11, 2_000, 1_000).with_warm_strategy(WarmStrategy::PerWindow {
-                extra_warmup_instrs: 500,
-            });
-        let config = EngineConfig::paper_default();
-        let serial = run_sampled(
-            &config,
-            &plan,
-            trace.len() as u64,
-            |w| trace[w.warmup_start as usize..].iter().copied(),
-            |_| NoPrefetcher,
-        );
-        for (window, expect) in plan
-            .windows(trace.len() as u64)
-            .into_iter()
-            .zip(&serial.samples)
-        {
-            let got = run_one_window(
-                &config,
-                &plan,
-                window,
-                trace[window.warmup_start as usize..].iter().copied(),
-                NoPrefetcher,
-                &mut L2Model::new(config.l2).unwrap(),
-            );
-            assert_eq!(got.window, expect.window);
-            assert_eq!(got.report, expect.report);
-        }
-    }
-
-    #[test]
-    fn assemble_report_is_order_independent() {
-        let trace = looped_trace(40_000, 512);
-        let plan = SamplingPlan::systematic(5, 1_000, 800)
-            .with_warm_strategy(WarmStrategy::PerWindow {
-                extra_warmup_instrs: 0,
-            })
-            .with_burn_in(2);
-        let config = EngineConfig::paper_default();
-        let serial = run_sampled(
-            &config,
-            &plan,
-            trace.len() as u64,
-            |w| trace[w.warmup_start as usize..].iter().copied(),
-            |_| NoPrefetcher,
-        );
-        let mut samples: Vec<SampleResult> = plan
-            .windows(trace.len() as u64)
-            .into_iter()
-            .map(|w| {
-                run_one_window(
-                    &config,
-                    &plan,
-                    w,
-                    trace[w.warmup_start as usize..].iter().copied(),
-                    NoPrefetcher,
-                    &mut L2Model::new(config.l2).unwrap(),
-                )
-            })
-            .collect();
-        // Scramble completion order; the report must not notice.
-        samples.reverse();
-        samples.swap(0, 2);
-        let merged = assemble_report(&plan, trace.len() as u64, samples);
-        assert_eq!(merged, serial);
-        assert_eq!(merged.burn_in, 2);
-        // Empty fan-out degenerates like an empty serial run.
-        let empty = assemble_report(&plan, 0, Vec::new());
-        assert_eq!(empty.prefetcher, "");
-        assert_eq!(empty.burn_in, 0);
     }
 }

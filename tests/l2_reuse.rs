@@ -7,7 +7,7 @@
 
 use pif_core::{Pif, PifConfig};
 use pif_sim::cache::L2Model;
-use pif_sim::sampling::{run_one_window, SamplingPlan, WarmStrategy};
+use pif_sim::sampling::{run_sampled, SamplingPlan, WarmStrategy};
 use pif_sim::{Engine, EngineConfig, NoPrefetcher, RunOptions};
 use pif_workloads::WorkloadProfile;
 
@@ -47,36 +47,39 @@ fn a_reused_l2_reports_what_a_fresh_one_does() {
     );
     assert_eq!(reused, fresh_none, "None run after the PIF run");
 
-    // Then a sampled cell's windows, whose L2 is checkpoint-warmed: the
-    // reset also reconfigures the model.
-    let plan =
-        SamplingPlan::random(6, 3, 4_000, 2_000).with_warm_strategy(WarmStrategy::PerWindow {
-            extra_warmup_instrs: 4_000,
-        });
-    let window_l2 = plan.engine_config(&config).l2;
-    assert_ne!(window_l2, config.l2, "windows run a reconfigured L2");
-    for window in plan.windows(instrs.len() as u64) {
-        let start = window.warmup_start as usize;
-        let window_run = |l2: &mut L2Model| {
-            run_one_window(
+    // Then sampled cells, whose windows run on a checkpoint-warmed L2:
+    // each window's reset also reconfigures the model. Under either warm
+    // strategy, the cell's report on the L2 the engine runs left behind
+    // is the one a fresh L2 gives.
+    let continuous = SamplingPlan::random(6, 3, 4_000, 2_000);
+    let per_window = continuous.with_warm_strategy(WarmStrategy::PerWindow {
+        extra_warmup_instrs: 4_000,
+    });
+    for plan in [per_window, continuous] {
+        let window_l2 = plan.engine_config(&config).l2;
+        assert_ne!(window_l2, config.l2, "windows run a reconfigured L2");
+        let sampled = |l2: &mut L2Model| {
+            run_sampled(
                 &config,
                 &plan,
-                window,
-                instrs[start..].iter().copied(),
-                Pif::new(pif),
+                instrs.len() as u64,
+                |w| instrs[w.warmup_start as usize..].iter().copied(),
+                |_| Pif::new(pif),
                 l2,
             )
         };
-        let fresh = window_run(&mut L2Model::new(window_l2).expect("paper geometry"));
-        assert_eq!(window_run(&mut l2), fresh, "window {}", window.index);
-        assert!(fresh.report.l2_hits > 0);
-    }
+        let fresh = sampled(&mut L2Model::new(window_l2).expect("paper geometry"));
+        assert_eq!(sampled(&mut l2), fresh, "{:?}", plan.warm_strategy);
+        assert_eq!(fresh.samples.len(), 6);
+        assert!(fresh.samples.iter().all(|s| s.report.l2_hits > 0));
 
-    // And an engine run again, after the reconfigured windows.
-    let reused = engine.run(
-        instrs.iter().copied(),
-        NoPrefetcher,
-        RunOptions::new().warmup(warmup).l2(&mut l2),
-    );
-    assert_eq!(reused, fresh_none, "None run after the sampled windows");
+        // And an engine run again, after the reconfigured windows, so the
+        // next plan also starts on the L2 an engine run left behind.
+        let reused = engine.run(
+            instrs.iter().copied(),
+            NoPrefetcher,
+            RunOptions::new().warmup(warmup).l2(&mut l2),
+        );
+        assert_eq!(reused, fresh_none, "None run after the sampled windows");
+    }
 }
