@@ -8,14 +8,13 @@
 //! piflab check <report.json> <baseline.json> [--tol X]
 //! piflab diff <a.json> <b.json>
 //! piflab serve [--addr HOST:PORT] [--threads N] [--workers N]
-//!              [--queue-depth N] [--deadline-ms N]
-//!              [--cache-dir DIR] [--no-cache]
+//!              [--queue-depth N] [--cache-dir DIR] [--no-cache]
 //! piflab submit <spec>... [--addr HOST:PORT] [--smoke]
 //!               [--scale tiny|quick|paper] [--out PATH] [--out-dir DIR]
 //!               [--deadline-ms N] [--retries N] [--retry-base-ms N]
 //!               [--quiet]
 //! piflab stats [--addr HOST:PORT]
-//! piflab metrics [--addr HOST:PORT] [--format prometheus|json]
+//! piflab metrics [--addr HOST:PORT]
 //! piflab cache stats|clear [--cache-dir DIR]
 //! ```
 //!
@@ -35,8 +34,9 @@
 //! refused connections, sockets dying mid-exchange, retryable daemon
 //! error frames — are retried with exponential backoff and jitter
 //! (`--retries`, `--retry-base-ms`); every terminal failure prints one
-//! structured `piflab submit: <category>: ...` line. `stats` and `metrics`
-//! query a running daemon's counters and its full `pif_obs` exposition.
+//! structured `piflab submit: <category>: ...` line. `stats` prints a
+//! running daemon's counters and `metrics` its Prometheus text
+//! exposition; both read the daemon's one metrics registry.
 //! `cache` inspects or clears the on-disk store.
 //!
 //! `run --profile` writes one `pif-lab-profile/v1` timing sidecar per
@@ -56,7 +56,7 @@ use std::time::Duration;
 
 use pif_lab::json::Json;
 use pif_lab::protocol::{Request, Response};
-use pif_lab::service::{LatencySummary, MetricsFormat, Service, ServiceConfig};
+use pif_lab::service::{LatencySummary, Service, ServiceConfig, ServiceStats};
 use pif_lab::{
     protocol, registry, render, report, run_spec_profiled, run_spec_stats, ResultCache, RunOptions,
     Scale, SweepReport,
@@ -96,9 +96,9 @@ fn usage() -> ExitCode {
          submit also: [--addr HOST:PORT] [--deadline-ms N] [--retries N] [--retry-base-ms N]\n\
          check: <report.json> <baseline.json> [--tol X]\n\
          serve: [--addr HOST:PORT] [--threads N] [--workers N] [--queue-depth N]\n\
-                [--deadline-ms N] [--cache-dir DIR] [--no-cache]\n\
+                [--cache-dir DIR] [--no-cache]\n\
          stats: [--addr HOST:PORT]\n\
-         metrics: [--addr HOST:PORT] [--format prometheus|json]\n\
+         metrics: [--addr HOST:PORT]\n\
          cache: stats|clear [--cache-dir DIR]"
     );
     ExitCode::from(2)
@@ -474,7 +474,6 @@ struct ServeArgs {
     threads: usize,
     workers: usize,
     queue_depth: usize,
-    deadline_ms: Option<u64>,
     cache_dir: Option<PathBuf>,
 }
 
@@ -486,7 +485,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
         threads: pif_lab::default_threads(),
         workers: 1,
         queue_depth: 16,
-        deadline_ms: None,
         cache_dir: Some(ResultCache::default_dir()),
     };
     let mut it = args.iter();
@@ -507,10 +505,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
             "--queue-depth" => match it.next().and_then(|s| s.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => opts.queue_depth = n,
                 _ => return Err("--queue-depth needs a positive integer".into()),
-            },
-            "--deadline-ms" => match it.next().and_then(|s| s.parse::<u64>().ok()) {
-                Some(ms) if ms >= 1 => opts.deadline_ms = Some(ms),
-                _ => return Err("--deadline-ms needs a positive integer".into()),
             },
             "--cache-dir" => match it.next() {
                 Some(p) => opts.cache_dir = Some(PathBuf::from(p)),
@@ -551,7 +545,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         queue_depth: opts.queue_depth,
         threads: opts.threads,
         workers: opts.workers,
-        default_deadline: opts.deadline_ms.map(Duration::from_millis),
         cache_dir: opts.cache_dir,
     });
     install_signal_handlers();
@@ -570,14 +563,12 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     let stats = service.shutdown();
     println!(
         "pifd: drained, {} submitted / {} completed (max queue {}, exec {} us, \
-         mean wait {:.1} us, {} stolen, {} deadline-exceeded, {} restarts, \
-         {} quarantined)",
+         mean wait {:.1} us, {} deadline-exceeded, {} restarts, {} quarantined)",
         stats.submitted,
         stats.completed,
         stats.max_queue_depth,
         stats.exec.total_us,
         stats.queue_wait.mean_us(),
-        stats.stolen_jobs,
         stats.deadline_exceeded,
         stats.worker_restarts,
         stats.quarantined
@@ -900,10 +891,9 @@ fn request_once(addr: &str, request: &Request) -> Result<Response, String> {
 }
 
 /// Parses the `[--addr HOST:PORT]`-only argument form shared by `stats`
-/// and `metrics` (the latter also takes `--format`).
-fn parse_addr_args(cmd: &str, args: &[String]) -> Result<(String, Option<String>), String> {
+/// and `metrics`.
+fn parse_addr_args(args: &[String]) -> Result<String, String> {
     let mut addr = DEFAULT_ADDR.to_string();
-    let mut format = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -911,14 +901,10 @@ fn parse_addr_args(cmd: &str, args: &[String]) -> Result<(String, Option<String>
                 Some(a) => addr = a.clone(),
                 None => return Err("--addr needs HOST:PORT".into()),
             },
-            "--format" if cmd == "metrics" => match it.next() {
-                Some(f) => format = Some(f.clone()),
-                None => return Err("--format needs prometheus|json".into()),
-            },
             flag => return Err(format!("unknown flag {flag:?}")),
         }
     }
-    Ok((addr, format))
+    Ok(addr)
 }
 
 fn print_latency(label: &str, l: &LatencySummary) {
@@ -931,7 +917,7 @@ fn print_latency(label: &str, l: &LatencySummary) {
 }
 
 fn cmd_stats(args: &[String]) -> ExitCode {
-    let (addr, _) = match parse_addr_args("stats", args) {
+    let addr = match parse_addr_args(args) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("piflab stats: {e}");
@@ -939,25 +925,23 @@ fn cmd_stats(args: &[String]) -> ExitCode {
         }
     };
     match request_once(&addr, &Request::Stats) {
-        Ok(Response::Stats {
+        Ok(Response::Stats(ServiceStats {
             submitted,
             completed,
             max_queue_depth,
             queue_wait,
             exec,
-            stolen_jobs,
             deadline_exceeded,
             worker_restarts,
             quarantined,
             cache,
-        }) => {
+        })) => {
             println!(
                 "pifd at {addr}: {submitted} submitted, {completed} completed \
                  (max queue {max_queue_depth})"
             );
             print_latency("queue wait", &queue_wait);
             print_latency("exec", &exec);
-            println!("  stolen jobs: {stolen_jobs}");
             println!(
                 "  failures: {deadline_exceeded} deadline-exceeded, \
                  {worker_restarts} worker restarts, {quarantined} quarantined"
@@ -984,30 +968,18 @@ fn cmd_stats(args: &[String]) -> ExitCode {
 }
 
 fn cmd_metrics(args: &[String]) -> ExitCode {
-    let (addr, format) = match parse_addr_args("metrics", args) {
+    let addr = match parse_addr_args(args) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("piflab metrics: {e}");
             return ExitCode::from(2);
         }
     };
-    let format = match format.as_deref() {
-        None | Some("prometheus") => MetricsFormat::Prometheus,
-        Some("json") => MetricsFormat::Json,
-        Some(other) => {
-            eprintln!("piflab metrics: unknown format {other:?} (want prometheus|json)");
-            return ExitCode::from(2);
-        }
-    };
-    match request_once(&addr, &Request::Metrics { format }) {
-        Ok(Response::Metrics { format, body }) => {
+    match request_once(&addr, &Request::Metrics) {
+        Ok(Response::Metrics { body }) => {
             // Validate the exposition client-side before printing, the
             // same way `submit` validates report bytes.
-            let valid = match format {
-                MetricsFormat::Prometheus => pif_obs::validate_prometheus(&body),
-                MetricsFormat::Json => Json::parse(&body).map(|_| ()),
-            };
-            if let Err(e) = valid {
+            if let Err(e) = pif_obs::validate_prometheus(&body) {
                 eprintln!("piflab metrics: daemon sent invalid exposition: {e}");
                 return ExitCode::FAILURE;
             }
@@ -1136,21 +1108,17 @@ mod tests {
 
     #[test]
     fn addr_args_parse_for_stats_and_metrics() {
-        let (addr, format) = parse_addr_args("stats", &[]).unwrap();
-        assert_eq!(addr, DEFAULT_ADDR);
-        assert_eq!(format, None);
-        let (addr, format) = parse_addr_args(
-            "metrics",
-            &s(&["--addr", "127.0.0.1:9", "--format", "json"]),
-        )
-        .unwrap();
-        assert_eq!(addr, "127.0.0.1:9");
-        assert_eq!(format.as_deref(), Some("json"));
-        assert!(
-            parse_addr_args("stats", &s(&["--format", "json"])).is_err(),
-            "stats takes no --format"
+        assert_eq!(parse_addr_args(&[]).unwrap(), DEFAULT_ADDR);
+        assert_eq!(
+            parse_addr_args(&s(&["--addr", "127.0.0.1:9"])).unwrap(),
+            "127.0.0.1:9"
         );
-        assert!(parse_addr_args("metrics", &s(&["--wat"])).is_err());
+        assert!(
+            parse_addr_args(&s(&["--format", "json"])).is_err(),
+            "metrics has one exposition format"
+        );
+        assert!(parse_addr_args(&s(&["--addr"])).is_err());
+        assert!(parse_addr_args(&s(&["--wat"])).is_err());
     }
 
     #[test]
@@ -1168,7 +1136,6 @@ mod tests {
         assert_eq!(d.queue_depth, 16);
         assert_eq!(d.cache_dir, Some(ResultCache::default_dir()));
         assert_eq!(d.workers, 1);
-        assert_eq!(d.deadline_ms, None);
         let o = parse_serve_args(&s(&[
             "--addr",
             "127.0.0.1:0",
@@ -1176,19 +1143,19 @@ mod tests {
             "4",
             "--workers",
             "3",
-            "--deadline-ms",
-            "30000",
             "--no-cache",
         ]))
         .unwrap();
         assert_eq!(o.addr, "127.0.0.1:0");
         assert_eq!(o.queue_depth, 4);
         assert_eq!(o.workers, 3);
-        assert_eq!(o.deadline_ms, Some(30_000));
         assert_eq!(o.cache_dir, None);
         assert!(parse_serve_args(&s(&["--queue-depth", "0"])).is_err());
         assert!(parse_serve_args(&s(&["--workers", "0"])).is_err());
-        assert!(parse_serve_args(&s(&["--deadline-ms", "no"])).is_err());
+        assert!(
+            parse_serve_args(&s(&["--deadline-ms", "30000"])).is_err(),
+            "deadlines are per submit"
+        );
     }
 
     #[test]

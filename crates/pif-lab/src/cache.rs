@@ -200,9 +200,8 @@ pub(crate) fn cell_identity(
     coord: JobCoord,
 ) -> String {
     let mut pif = spec.pif_base;
-    let mut engine = spec.engine_base;
-    spec.axis.apply(coord.point, &mut pif, &mut engine);
-    let entries = crate::config_entries(&engine, &pif, spec.seed_offset);
+    spec.axis.apply(coord.point, &mut pif);
+    let entries = crate::config_entries(&spec.engine_base, &pif, spec.seed_offset);
 
     let mut s = String::new();
     push_field(&mut s, "spec", spec.name);

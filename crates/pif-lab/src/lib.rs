@@ -97,7 +97,7 @@ pub use pif_obs::json;
 pub use profile::{CellProfile, SweepProfile};
 pub use report::{Cell, CheckSummary, Metric, SweepReport};
 pub use scale::Scale;
-pub use service::{default_threads, LatencySummary, MetricsFormat, Pool, PoolRunStats};
+pub use service::{default_threads, LatencySummary, Pool};
 pub use spec::{CdfKind, Measure, ParamAxis, PrefetcherKind, SweepSpec};
 pub use tablefmt::Table;
 
@@ -107,10 +107,8 @@ pub use measure::jobs_executed;
 /// How to execute a sweep: scale, parallelism, smoke flag, and an
 /// optional result cache.
 ///
-/// Replaces the old positional `(scale, threads, smoke)` arguments of
-/// [`run_spec`]; build one with [`RunOptions::new`] and the chainable
-/// setters. The struct is non-exhaustive so future knobs (and there will
-/// be more) extend it without breaking callers.
+/// Build one with [`RunOptions::new`] and the chainable setters. The
+/// struct is non-exhaustive, so a new field does not break callers.
 ///
 /// ```
 /// use pif_lab::{registry, run_spec, RunOptions, Scale};
@@ -184,10 +182,6 @@ pub struct SweepRunStats {
     pub cached_cells: usize,
     /// Cells simulated by this run.
     pub executed_cells: usize,
-    /// Pool jobs claimed by a different worker than the preceding job
-    /// index (see [`service::PoolRunStats::stolen_jobs`]). Schedule-
-    /// dependent diagnostics only — never part of a report.
-    pub stolen_jobs: u64,
 }
 
 /// Expands `spec` into its job grid, runs it per `opts`, and merges the
@@ -333,7 +327,7 @@ fn run_spec_impl(
     // history-capacity lane of one workload's analysis (`group_jobs`).
     let jobs = measure::group_jobs(spec, &mut missing);
 
-    let (fresh, pool_stats) = Pool::new(opts.threads).run_indexed_stats(jobs.len(), |i| {
+    let fresh = Pool::new(opts.threads).run_indexed(jobs.len(), |i| {
         // Timed only under profiling, and into a sidecar value — timing
         // never reaches the cell or the report.
         let started = want_profile.then(std::time::Instant::now);
@@ -410,7 +404,6 @@ fn run_spec_impl(
         SweepRunStats {
             cached_cells,
             executed_cells,
-            stolen_jobs: pool_stats.stolen_jobs,
         },
         profile,
     )

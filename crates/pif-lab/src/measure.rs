@@ -178,9 +178,8 @@ fn encode_generated(profile: &WorkloadProfile, instructions: usize, seed_offset:
 /// The cell's applied configuration: the spec's base plus its axis point.
 fn applied_configs(spec: &SweepSpec, coord: JobCoord) -> (PifConfig, EngineConfig) {
     let mut pif = spec.pif_base;
-    let mut engine = spec.engine_base;
-    spec.axis.apply(coord.point, &mut pif, &mut engine);
-    (pif, engine)
+    spec.axis.apply(coord.point, &mut pif);
+    (pif, spec.engine_base)
 }
 
 /// Groups the cells a sweep must simulate (in index order) into pool

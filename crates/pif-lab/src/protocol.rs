@@ -14,7 +14,7 @@
 //! ```text
 //! {"proto": "piflab/1", "cmd": "ping"}
 //! {"proto": "piflab/1", "cmd": "stats"}
-//! {"proto": "piflab/1", "cmd": "metrics", "format": "prometheus"}
+//! {"proto": "piflab/1", "cmd": "metrics"}
 //! {"proto": "piflab/1", "cmd": "shutdown"}
 //! {"proto": "piflab/1", "cmd": "submit", "id": 7, "spec": "fig10", "smoke": true,
 //!  "deadline_ms": 30000,
@@ -28,14 +28,15 @@
 //! not an integer ≥ 1, and a `smoke` that is not a bool.
 //!
 //! Responses mirror the request (`pong`, `stats`, `metrics`,
-//! `shutting_down`, `report`) or report an error. A `report` response
-//! embeds the full `pif-lab-sweep/v1` document **as a JSON string**, not
-//! as a nested object: the report's own serialization is a byte-identity
-//! contract (goldens are compared byte-for-byte), and string-embedding
-//! lets the client recover those exact bytes with one unescape while
-//! keeping the one-line framing. A `metrics` response embeds the
-//! daemon's full `pif_obs` exposition (Prometheus text or `pif-obs/v1`
-//! JSON, per the request's `"format"`) as a string for the same reason.
+//! `shutting_down`, `report`) or report an error. A `stats` response
+//! carries the daemon's [`ServiceStats`], which `metrics` renders in
+//! full from the same registry. A `report` response embeds the full
+//! `pif-lab-sweep/v1` document **as a JSON string**, not as a nested
+//! object: the report's own serialization is a byte-identity contract
+//! (goldens are compared byte-for-byte), and string-embedding lets the
+//! client recover those exact bytes with one unescape while keeping the
+//! one-line framing. A `metrics` response embeds the daemon's Prometheus
+//! text exposition as a string for the same reason.
 //!
 //! Error frames are typed: every `error` carries a `"kind"` token (see
 //! [`Response::Error`]), a `"retryable"` flag telling clients whether a
@@ -52,7 +53,7 @@ use std::time::Duration;
 
 use crate::json::{escape, fmt_f64, Json};
 use crate::scale::Scale;
-use crate::service::{JobError, LatencySummary, MetricsFormat, Service, ServiceStats, SweepJob};
+use crate::service::{JobError, LatencySummary, Service, ServiceStats, SweepJob};
 use crate::{registry, CacheStats};
 
 /// Protocol identifier carried by every frame.
@@ -65,11 +66,8 @@ pub enum Request {
     Ping,
     /// Ask for the daemon's counters.
     Stats,
-    /// Ask for the daemon's full metrics exposition.
-    Metrics {
-        /// The exposition format to render.
-        format: MetricsFormat,
-    },
+    /// Ask for the daemon's Prometheus text exposition.
+    Metrics,
     /// Ask the daemon to drain and exit.
     Shutdown,
     /// Submit one sweep.
@@ -94,10 +92,7 @@ impl Request {
         match self {
             Request::Ping => format!("{{\"proto\": \"{PROTO}\", \"cmd\": \"ping\"}}\n"),
             Request::Stats => format!("{{\"proto\": \"{PROTO}\", \"cmd\": \"stats\"}}\n"),
-            Request::Metrics { format } => format!(
-                "{{\"proto\": \"{PROTO}\", \"cmd\": \"metrics\", \"format\": \"{}\"}}\n",
-                format_token(*format)
-            ),
+            Request::Metrics => format!("{{\"proto\": \"{PROTO}\", \"cmd\": \"metrics\"}}\n"),
             Request::Shutdown => {
                 format!("{{\"proto\": \"{PROTO}\", \"cmd\": \"shutdown\"}}\n")
             }
@@ -138,13 +133,7 @@ impl Request {
         match cmd {
             "ping" => Ok(Request::Ping),
             "stats" => Ok(Request::Stats),
-            "metrics" => Ok(Request::Metrics {
-                format: match j.get("format").and_then(Json::as_str) {
-                    None | Some("prometheus") => MetricsFormat::Prometheus,
-                    Some("json") => MetricsFormat::Json,
-                    Some(other) => return Err(format!("unknown metrics format {other:?}")),
-                },
-            }),
+            "metrics" => Ok(Request::Metrics),
             "shutdown" => Ok(Request::Shutdown),
             "submit" => {
                 let spec = j
@@ -185,33 +174,10 @@ pub enum Response {
     /// Liveness reply.
     Pong,
     /// Counter snapshot.
-    Stats {
-        /// Jobs accepted so far.
-        submitted: u64,
-        /// Jobs completed so far.
-        completed: u64,
-        /// High-water mark of the queue depth.
-        max_queue_depth: u64,
-        /// Queue-wait latency of completed jobs.
-        queue_wait: LatencySummary,
-        /// Execution latency of completed jobs.
-        exec: LatencySummary,
-        /// Work-stealing handoffs across completed jobs' pool runs.
-        stolen_jobs: u64,
-        /// Jobs failed because their deadline expired.
-        deadline_exceeded: u64,
-        /// Worker threads restarted after a panic.
-        worker_restarts: u64,
-        /// Jobs quarantined because their worker died running them.
-        quarantined: u64,
-        /// Result-cache counters, when the daemon has a cache.
-        cache: Option<CacheStats>,
-    },
-    /// The daemon's metrics exposition.
+    Stats(ServiceStats),
+    /// The daemon's Prometheus text exposition.
     Metrics {
-        /// Format of `body`.
-        format: MetricsFormat,
-        /// The exposition document, embedded as a string.
+        /// The exposition text, embedded as a string.
         body: String,
     },
     /// Acknowledges a `shutdown` request.
@@ -252,19 +218,8 @@ impl Response {
     pub fn to_line(&self) -> String {
         match self {
             Response::Pong => format!("{{\"proto\": \"{PROTO}\", \"resp\": \"pong\"}}\n"),
-            Response::Stats {
-                submitted,
-                completed,
-                max_queue_depth,
-                queue_wait,
-                exec,
-                stolen_jobs,
-                deadline_exceeded,
-                worker_restarts,
-                quarantined,
-                cache,
-            } => {
-                let cache = match cache {
+            Response::Stats(stats) => {
+                let cache = match &stats.cache {
                     Some(c) => format!(
                         "{{\"hits\": {}, \"misses\": {}, \"corrupt\": {}, \
                          \"quarantined\": {}, \"hashes_derived\": {}, \
@@ -279,20 +234,22 @@ impl Response {
                     None => "null".to_string(),
                 };
                 format!(
-                    "{{\"proto\": \"{PROTO}\", \"resp\": \"stats\", \"submitted\": {submitted}, \
-                     \"completed\": {completed}, \"max_queue_depth\": {max_queue_depth}, \
-                     \"queue_wait\": {}, \"exec\": {}, \"stolen_jobs\": {stolen_jobs}, \
-                     \"deadline_exceeded\": {deadline_exceeded}, \
-                     \"worker_restarts\": {worker_restarts}, \"quarantined\": {quarantined}, \
-                     \"cache\": {cache}}}\n",
-                    latency_json(queue_wait),
-                    latency_json(exec)
+                    "{{\"proto\": \"{PROTO}\", \"resp\": \"stats\", \"submitted\": {}, \
+                     \"completed\": {}, \"max_queue_depth\": {}, \"queue_wait\": {}, \
+                     \"exec\": {}, \"deadline_exceeded\": {}, \"worker_restarts\": {}, \
+                     \"quarantined\": {}, \"cache\": {cache}}}\n",
+                    stats.submitted,
+                    stats.completed,
+                    stats.max_queue_depth,
+                    latency_json(&stats.queue_wait),
+                    latency_json(&stats.exec),
+                    stats.deadline_exceeded,
+                    stats.worker_restarts,
+                    stats.quarantined
                 )
             }
-            Response::Metrics { format, body } => format!(
-                "{{\"proto\": \"{PROTO}\", \"resp\": \"metrics\", \"format\": \"{}\", \
-                 \"body\": \"{}\"}}\n",
-                format_token(*format),
+            Response::Metrics { body } => format!(
+                "{{\"proto\": \"{PROTO}\", \"resp\": \"metrics\", \"body\": \"{}\"}}\n",
                 escape(body)
             ),
             Response::ShuttingDown => {
@@ -356,10 +313,10 @@ impl Response {
         match resp {
             "pong" => Ok(Response::Pong),
             "shutting_down" => Ok(Response::ShuttingDown),
-            "stats" => Ok(Response::Stats {
+            "stats" => Ok(Response::Stats(ServiceStats {
                 submitted: u("submitted")?,
                 completed: u("completed")?,
-                max_queue_depth: u("max_queue_depth")?,
+                max_queue_depth: u("max_queue_depth")? as usize,
                 queue_wait: j
                     .get("queue_wait")
                     .and_then(parse_latency)
@@ -368,7 +325,6 @@ impl Response {
                     .get("exec")
                     .and_then(parse_latency)
                     .ok_or("stats missing \"exec\"")?,
-                stolen_jobs: u("stolen_jobs")?,
                 deadline_exceeded: u("deadline_exceeded")?,
                 worker_restarts: u("worker_restarts")?,
                 quarantined: u("quarantined")?,
@@ -382,13 +338,8 @@ impl Response {
                         hash_memo_hits: c.get("hash_memo_hits")?.as_f64()? as u64,
                     })
                 }),
-            }),
+            })),
             "metrics" => Ok(Response::Metrics {
-                format: match j.get("format").and_then(Json::as_str) {
-                    Some("prometheus") => MetricsFormat::Prometheus,
-                    Some("json") => MetricsFormat::Json,
-                    other => return Err(format!("metrics response has bad format {other:?}")),
-                },
                 body: j
                     .get("body")
                     .and_then(Json::as_str)
@@ -441,14 +392,6 @@ impl Response {
             }),
             other => Err(format!("unknown response {other:?}")),
         }
-    }
-}
-
-/// The wire token of a [`MetricsFormat`].
-fn format_token(format: MetricsFormat) -> &'static str {
-    match format {
-        MetricsFormat::Prometheus => "prometheus",
-        MetricsFormat::Json => "json",
     }
 }
 
@@ -691,35 +634,9 @@ pub fn handle_request(line: &str, service: &Service, shutdown: &AtomicBool) -> R
     };
     match request {
         Request::Ping => Response::Pong,
-        Request::Stats => {
-            let ServiceStats {
-                submitted,
-                completed,
-                max_queue_depth,
-                queue_wait,
-                exec,
-                stolen_jobs,
-                deadline_exceeded,
-                worker_restarts,
-                quarantined,
-                cache,
-            } = service.stats();
-            Response::Stats {
-                submitted,
-                completed,
-                max_queue_depth: max_queue_depth as u64,
-                queue_wait,
-                exec,
-                stolen_jobs,
-                deadline_exceeded,
-                worker_restarts,
-                quarantined,
-                cache,
-            }
-        }
-        Request::Metrics { format } => Response::Metrics {
-            format,
-            body: service.render_metrics(format),
+        Request::Stats => Response::Stats(service.stats()),
+        Request::Metrics => Response::Metrics {
+            body: service.render_metrics(),
         },
         Request::Shutdown => {
             shutdown.store(true, Ordering::SeqCst);
@@ -791,12 +708,7 @@ mod tests {
         let reqs = [
             Request::Ping,
             Request::Stats,
-            Request::Metrics {
-                format: MetricsFormat::Prometheus,
-            },
-            Request::Metrics {
-                format: MetricsFormat::Json,
-            },
+            Request::Metrics,
             Request::Shutdown,
             Request::Submit {
                 id: 0,
@@ -829,7 +741,7 @@ mod tests {
         let resps = [
             Response::Pong,
             Response::ShuttingDown,
-            Response::Stats {
+            Response::Stats(ServiceStats {
                 submitted: 9,
                 completed: 7,
                 max_queue_depth: 4,
@@ -843,7 +755,6 @@ mod tests {
                     total_us: 123_456,
                     max_us: 50_000,
                 },
-                stolen_jobs: 3,
                 deadline_exceeded: 2,
                 worker_restarts: 1,
                 quarantined: 1,
@@ -855,28 +766,22 @@ mod tests {
                     hashes_derived: 6,
                     hash_memo_hits: 12,
                 }),
-            },
-            Response::Stats {
+            }),
+            Response::Stats(ServiceStats {
                 submitted: 0,
                 completed: 0,
                 max_queue_depth: 0,
                 queue_wait: LatencySummary::default(),
                 exec: LatencySummary::default(),
-                stolen_jobs: 0,
                 deadline_exceeded: 0,
                 worker_restarts: 0,
                 quarantined: 0,
                 cache: None,
-            },
+            }),
             Response::Metrics {
-                format: MetricsFormat::Prometheus,
                 body: "# TYPE pif_service_jobs_completed counter\n\
                        pif_service_jobs_completed 2\n"
                     .to_string(),
-            },
-            Response::Metrics {
-                format: MetricsFormat::Json,
-                body: "{\"schema\": \"pif-obs/v1\", \"metrics\": []}".to_string(),
             },
             Response::Report {
                 request_id: 41,

@@ -1,12 +1,9 @@
 //! Reusable sweep execution: the work-stealing [`Pool`] and the
 //! long-running [`Service`] job queue behind `piflab serve`.
 //!
-//! [`Pool`] is the thread-count policy extracted from the old
-//! free-function façade (the former `pool` module, now removed):
-//! construct one with the worker count and every indexed run or parallel
-//! map goes through it, so thread plumbing lives in one place.
-//! [`Pool::run_indexed_stats`] additionally reports a [`PoolRunStats`]
-//! with a work-stealing interleave counter.
+//! [`Pool`] owns the thread-count policy: construct one with the worker
+//! count and run every indexed job set through [`Pool::run_indexed`], so
+//! thread plumbing lives in one place.
 //!
 //! [`Service`] turns [`crate::run_spec`] into simulation-as-a-service: a
 //! bounded job queue fed by [`Service::submit`] (which **blocks when the
@@ -21,22 +18,24 @@
 //! Failures are typed ([`JobError`]) and contained:
 //!
 //! * a sweep that panics fails **that job** ([`JobError::Failed`]);
-//! * a job that outlives its deadline (per-job via [`SweepJob::deadline`]
-//!   or service-wide via [`ServiceConfig::default_deadline`]) is failed
-//!   with [`JobError::DeadlineExceeded`] by the supervisor's watchdog —
-//!   it never blocks the queue, even while the worker is still stuck on
-//!   it;
+//! * a job that outlives its own deadline ([`SweepJob::deadline`]) is
+//!   failed with [`JobError::DeadlineExceeded`] by the supervisor's
+//!   watchdog — it never blocks the queue, even while the worker is
+//!   still stuck on it;
 //! * a panic that escapes the job harness kills only one worker: the
 //!   supervisor quarantines the poisoned job
 //!   ([`JobError::WorkerPanicked`]) and restarts the worker.
 //!
-//! The service is instrumented with a `pif_obs` registry: per-job
-//! queue-wait and execution-latency histograms, job/steal counters, and
-//! cache hit/miss/corrupt and trace-hash memo gauges, rendered on demand by
-//! [`Service::render_metrics`] (the daemon's `metrics` protocol verb).
-//! The same latencies are folded into [`ServiceStats`] as
-//! [`LatencySummary`] values for the `stats` verb. None of this feeds
-//! back into sweep results — reports stay byte-identical.
+//! Every job counter and latency lives in one `pif_obs` registry: job
+//! counters, per-job queue-wait and execution-latency histograms, and
+//! cache hit/miss/corrupt and trace-hash memo gauges. Each job event
+//! increments its handle before the job is delivered.
+//! [`Service::render_metrics`] renders the registry as Prometheus text
+//! (the daemon's `metrics` verb) and [`Service::stats`] reads the same
+//! handles into a [`ServiceStats`] (the `stats` verb); the only counter
+//! kept elsewhere is the queue's high-water mark, which only the queue
+//! lock can compute. None of this feeds back into sweep results —
+//! reports stay byte-identical.
 //!
 //! ```
 //! use pif_lab::{registry, service::{Service, ServiceConfig, SweepJob}, Scale};
@@ -113,25 +112,9 @@ impl Pool {
     ///
     /// # Panics
     ///
-    /// Propagates a panic from any worker.
-    pub fn run_indexed<R, F>(&self, n_jobs: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        self.run_indexed_stats(n_jobs, f).0
-    }
-
-    /// [`Pool::run_indexed`], also reporting scheduling counters.
-    ///
-    /// The counters describe *how* the run was scheduled, never *what*
-    /// it computed — results stay ordered by job index regardless.
-    ///
-    /// # Panics
-    ///
     /// Propagates the first panic of any job, with its own payload, once
     /// the running jobs finish; no further jobs start after it.
-    pub fn run_indexed_stats<R, F>(&self, n_jobs: usize, f: F) -> (Vec<R>, PoolRunStats)
+    pub fn run_indexed<R, F>(&self, n_jobs: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize) -> R + Sync,
@@ -141,26 +124,19 @@ impl Pool {
             // One worker: the calling thread itself, which keeps its
             // per-thread simulation state (`measure::with_worker_l2`)
             // across runs instead of a fresh thread building its own.
-            let stats = PoolRunStats {
-                jobs: n_jobs as u64,
-                stolen_jobs: 0,
-            };
-            return ((0..n_jobs).map(f).collect(), stats);
+            return (0..n_jobs).map(f).collect();
         }
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<R>>> = (0..n_jobs).map(|_| Mutex::new(None)).collect();
-        // Which worker claimed each job index, for the steal counter.
-        let claims: Vec<AtomicUsize> = (0..n_jobs).map(|_| AtomicUsize::new(usize::MAX)).collect();
         let panicked = Mutex::new(None);
         std::thread::scope(|s| {
-            let (next, claims, slots, f, panicked) = (&next, &claims, &slots, &f, &panicked);
-            for worker in 0..threads {
+            let (next, slots, f, panicked) = (&next, &slots, &f, &panicked);
+            for _ in 0..threads {
                 s.spawn(move || loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= n_jobs {
                         break;
                     }
-                    claims[i].store(worker, Ordering::Relaxed);
                     // Caught so the caller sees the job's own message
                     // rather than the scope's generic one.
                     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i))) {
@@ -182,63 +158,19 @@ impl Pool {
         if let Some(payload) = panicked.into_inner().expect("panic slot poisoned") {
             std::panic::resume_unwind(payload);
         }
-        let stolen_jobs = claims
-            .windows(2)
-            .filter(|w| w[0].load(Ordering::Relaxed) != w[1].load(Ordering::Relaxed))
-            .count() as u64;
-        let results = slots
+        slots
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
                     .expect("result slot poisoned")
                     .expect("job completed")
             })
-            .collect();
-        (
-            results,
-            PoolRunStats {
-                jobs: n_jobs as u64,
-                stolen_jobs,
-            },
-        )
+            .collect()
     }
-
-    /// Maps `f` over `items` in parallel (one logical job per item),
-    /// preserving input order in the output.
-    pub fn parallel_map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        let n = items.len();
-        let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        self.run_indexed(n, |i| {
-            let item = slots[i]
-                .lock()
-                .expect("item slot poisoned")
-                .take()
-                .expect("item taken once");
-            f(item)
-        })
-    }
-}
-
-/// Scheduling counters of one [`Pool::run_indexed_stats`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PoolRunStats {
-    /// Jobs executed.
-    pub jobs: u64,
-    /// Jobs whose worker differed from the worker that claimed the
-    /// preceding job index — adjacent-index handoffs, a measure of
-    /// work-stealing interleave. Always 0 on a single worker, and
-    /// schedule-dependent otherwise: diagnostics only, never part of a
-    /// report.
-    pub stolen_jobs: u64,
 }
 
 /// Compact latency accounting: sample count, total, and maximum, in
-/// microseconds.
+/// microseconds, read off one of the service's latency histograms.
 ///
 /// Integer-only so it stays `Eq` and renders exactly in the `piflab/1`
 /// protocol; the mean is derived on demand by [`LatencySummary::mean_us`].
@@ -246,20 +178,14 @@ pub struct PoolRunStats {
 pub struct LatencySummary {
     /// Recorded samples.
     pub count: u64,
-    /// Sum of all samples, saturating, in microseconds.
+    /// Sum of all samples in microseconds (wrapping, as the histogram's
+    /// sum does).
     pub total_us: u64,
     /// Largest sample, in microseconds.
     pub max_us: u64,
 }
 
 impl LatencySummary {
-    /// Folds one sample in.
-    pub fn record(&mut self, us: u64) {
-        self.count += 1;
-        self.total_us = self.total_us.saturating_add(us);
-        self.max_us = self.max_us.max(us);
-    }
-
     /// Mean sample in microseconds (0.0 when empty).
     pub fn mean_us(&self) -> f64 {
         if self.count == 0 {
@@ -270,18 +196,19 @@ impl LatencySummary {
     }
 }
 
+impl From<pif_obs::HistogramSnapshot> for LatencySummary {
+    fn from(h: pif_obs::HistogramSnapshot) -> Self {
+        LatencySummary {
+            count: h.count(),
+            total_us: h.sum,
+            max_us: h.max,
+        }
+    }
+}
+
 /// Saturating microseconds of a [`Duration`], for latency counters.
 pub(crate) fn duration_us(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
-}
-
-/// Wire format of [`Service::render_metrics`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricsFormat {
-    /// Prometheus text exposition format.
-    Prometheus,
-    /// The `pif-obs/v1` JSON document.
-    Json,
 }
 
 /// Configuration of a [`Service`].
@@ -296,10 +223,6 @@ pub struct ServiceConfig {
     /// runs one job at a time on its own `threads`-wide pool; a panicked
     /// worker is restarted by the supervisor.
     pub workers: usize,
-    /// Deadline applied to jobs that do not set their own (see
-    /// [`SweepJob::deadline`]). Measured from submission; `None` means
-    /// jobs may run indefinitely.
-    pub default_deadline: Option<Duration>,
     /// Directory of the persistent result cache, if any.
     pub cache_dir: Option<std::path::PathBuf>,
 }
@@ -310,7 +233,6 @@ impl Default for ServiceConfig {
             queue_depth: 16,
             threads: default_threads(),
             workers: 1,
-            default_deadline: None,
             cache_dir: None,
         }
     }
@@ -325,8 +247,8 @@ pub struct SweepJob {
     pub scale: Scale,
     /// Whether the report is marked as a smoke run.
     pub smoke: bool,
-    /// Per-job deadline, measured from submission; overrides
-    /// [`ServiceConfig::default_deadline`] when set.
+    /// Per-job deadline, measured from submission; `None` lets the job
+    /// run indefinitely.
     pub deadline: Option<Duration>,
 }
 
@@ -437,9 +359,6 @@ pub struct SweepOutcome {
     pub cached_cells: usize,
     /// Cells simulated fresh.
     pub executed_cells: usize,
-    /// Adjacent-index worker handoffs in the pool run (see
-    /// [`PoolRunStats::stolen_jobs`]).
-    pub stolen_jobs: u64,
 }
 
 #[derive(Debug, Default)]
@@ -511,7 +430,8 @@ impl SubmitHandle {
     }
 }
 
-/// Point-in-time counters of a [`Service`].
+/// Point-in-time counters of a [`Service`], read from its metrics
+/// registry (see [`Service::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Jobs accepted by [`Service::submit`].
@@ -520,13 +440,10 @@ pub struct ServiceStats {
     pub completed: u64,
     /// High-water mark of the queue depth (for backpressure asserts).
     pub max_queue_depth: usize,
-    /// Time completed jobs spent queued before a worker picked them up.
+    /// Time executed jobs spent queued before a worker picked them up.
     pub queue_wait: LatencySummary,
-    /// Wall-clock execution time of completed jobs.
+    /// Wall-clock execution time of executed jobs.
     pub exec: LatencySummary,
-    /// Total adjacent-index worker handoffs across completed jobs'
-    /// pool runs (see [`PoolRunStats::stolen_jobs`]).
-    pub stolen_jobs: u64,
     /// Jobs failed with [`JobError::DeadlineExceeded`].
     pub deadline_exceeded: u64,
     /// Worker threads the supervisor restarted after a panic.
@@ -559,19 +476,14 @@ struct RunningJob {
 struct QueueState {
     queue: VecDeque<QueuedJob>,
     closed: bool,
-    submitted: u64,
-    completed: u64,
+    /// High-water mark of `queue.len()`; every other counter lives in
+    /// [`ServiceMetrics`].
     max_depth: usize,
-    queue_wait: LatencySummary,
-    exec: LatencySummary,
-    stolen_jobs: u64,
-    deadline_exceeded: u64,
-    worker_restarts: u64,
-    quarantined: u64,
 }
 
-/// The service's `pif_obs` instrumentation: one registry plus the
-/// pre-registered handles the worker loop records into.
+/// The service's counter store: one `pif_obs` registry plus the
+/// pre-registered handles that job events increment and
+/// [`Service::stats`] reads.
 #[derive(Debug)]
 struct ServiceMetrics {
     registry: pif_obs::Registry,
@@ -580,7 +492,6 @@ struct ServiceMetrics {
     jobs_submitted: pif_obs::Counter,
     jobs_completed: pif_obs::Counter,
     jobs_failed: pif_obs::Counter,
-    stolen_jobs: pif_obs::Counter,
     deadline_exceeded: pif_obs::Counter,
     worker_restarts: pif_obs::Counter,
     jobs_quarantined: pif_obs::Counter,
@@ -614,10 +525,6 @@ impl ServiceMetrics {
             ),
             jobs_failed: registry
                 .counter("pif_service_jobs_failed", "Jobs that panicked or errored"),
-            stolen_jobs: registry.counter(
-                "pif_service_stolen_jobs",
-                "Adjacent-index worker handoffs across pool runs",
-            ),
             deadline_exceeded: registry.counter(
                 "pif_service_deadline_exceeded",
                 "Jobs failed for outliving their deadline",
@@ -673,7 +580,6 @@ struct Inner {
     not_full: Condvar,
     queue_depth: usize,
     pool_threads: usize,
-    default_deadline: Option<Duration>,
     /// Per-worker slot holding the job that worker is executing right
     /// now; the supervisor reads these for deadline enforcement and
     /// quarantine.
@@ -726,21 +632,12 @@ impl Service {
             state: Mutex::new(QueueState {
                 queue: VecDeque::new(),
                 closed: false,
-                submitted: 0,
-                completed: 0,
                 max_depth: 0,
-                queue_wait: LatencySummary::default(),
-                exec: LatencySummary::default(),
-                stolen_jobs: 0,
-                deadline_exceeded: 0,
-                worker_restarts: 0,
-                quarantined: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             queue_depth: config.queue_depth.max(1),
             pool_threads: config.threads.max(1),
-            default_deadline: config.default_deadline,
             running: (0..workers).map(|_| Mutex::new(None)).collect(),
             cache,
             metrics: ServiceMetrics::new(),
@@ -790,26 +687,26 @@ impl Service {
             handle: handle.clone(),
             enqueued: Instant::now(),
         });
-        state.submitted += 1;
         state.max_depth = state.max_depth.max(state.queue.len());
         self.inner.metrics.jobs_submitted.inc();
         self.inner.not_empty.notify_one();
         Ok(handle)
     }
 
-    /// Current counters.
+    /// Current counters: a view of the metrics registry that
+    /// [`Service::render_metrics`] renders, plus the queue's high-water
+    /// mark.
     pub fn stats(&self) -> ServiceStats {
-        let state = self.inner.lock_state();
+        let m = &self.inner.metrics;
         ServiceStats {
-            submitted: state.submitted,
-            completed: state.completed,
-            max_queue_depth: state.max_depth,
-            queue_wait: state.queue_wait,
-            exec: state.exec,
-            stolen_jobs: state.stolen_jobs,
-            deadline_exceeded: state.deadline_exceeded,
-            worker_restarts: state.worker_restarts,
-            quarantined: state.quarantined,
+            submitted: m.jobs_submitted.get(),
+            completed: m.jobs_completed.get(),
+            max_queue_depth: self.inner.lock_state().max_depth,
+            queue_wait: m.queue_wait_us.snapshot().into(),
+            exec: m.exec_us.snapshot().into(),
+            deadline_exceeded: m.deadline_exceeded.get(),
+            worker_restarts: m.worker_restarts.get(),
+            quarantined: m.jobs_quarantined.get(),
             cache: self.inner.cache.as_ref().map(ResultCache::stats),
         }
     }
@@ -819,14 +716,11 @@ impl Service {
         self.inner.cache.as_ref()
     }
 
-    /// Renders the service's metrics registry in `format`, syncing the
-    /// cache gauges first so the scrape is current.
-    pub fn render_metrics(&self, format: MetricsFormat) -> String {
+    /// Renders the service's metrics registry as Prometheus text, syncing
+    /// the cache gauges first so the scrape is current.
+    pub fn render_metrics(&self) -> String {
         self.inner.metrics.sync_cache(self.inner.cache.as_ref());
-        match format {
-            MetricsFormat::Prometheus => pif_obs::render_prometheus(&self.inner.metrics.registry),
-            MetricsFormat::Json => pif_obs::render_json(&self.inner.metrics.registry),
-        }
+        pif_obs::render_prometheus(&self.inner.metrics.registry)
     }
 
     /// Graceful shutdown: refuses new submissions (and unblocks any
@@ -925,11 +819,6 @@ fn supervisor_loop(inner: &Arc<Inner>, workers: usize) {
                     inner.metrics.jobs_completed.inc();
                     inner.metrics.jobs_failed.inc();
                     inner.metrics.jobs_quarantined.inc();
-                    {
-                        let mut state = inner.lock_state();
-                        state.completed += 1;
-                        state.quarantined += 1;
-                    }
                     running.handle.fulfill(Err(err));
                 }
             }
@@ -940,7 +829,6 @@ fn supervisor_loop(inner: &Arc<Inner>, workers: usize) {
             if restart {
                 pif_obs::log::warn("pif_lab::service", "worker restarted", &[("worker", &w)]);
                 inner.metrics.worker_restarts.inc();
-                inner.lock_state().worker_restarts += 1;
                 *slot = Some(spawn_worker(inner, w));
             }
         }
@@ -956,7 +844,6 @@ fn supervisor_loop(inner: &Arc<Inner>, workers: usize) {
                     drop(state);
                     for (w, slot) in pool.iter_mut().enumerate() {
                         inner.metrics.worker_restarts.inc();
-                        inner.lock_state().worker_restarts += 1;
                         *slot = Some(spawn_worker(inner, w));
                     }
                     continue;
@@ -967,7 +854,6 @@ fn supervisor_loop(inner: &Arc<Inner>, workers: usize) {
                 if entry.handle.try_claim() {
                     inner.metrics.jobs_completed.inc();
                     inner.metrics.jobs_failed.inc();
-                    inner.lock_state().completed += 1;
                     entry.handle.fulfill(Err(JobError::Rejected {
                         reason: "service shut down before the job ran".to_string(),
                     }));
@@ -992,11 +878,6 @@ fn deliver_deadline(inner: &Inner, handle: &SubmitHandle, deadline: Duration, sp
     inner.metrics.jobs_completed.inc();
     inner.metrics.jobs_failed.inc();
     inner.metrics.deadline_exceeded.inc();
-    {
-        let mut state = inner.lock_state();
-        state.completed += 1;
-        state.deadline_exceeded += 1;
-    }
     handle.fulfill(Err(JobError::DeadlineExceeded { deadline_ms }));
 }
 
@@ -1019,11 +900,10 @@ fn worker_loop(inner: &Inner, w: usize) {
                 state = inner.not_empty.wait(state).expect("service state poisoned");
             }
         };
-        let deadline = job.deadline.or(inner.default_deadline);
         // Expired while still queued: fail it typed without burning a
         // pool run (the cheapest way a deadline "never blocks the
         // queue").
-        if let Some(dl) = deadline {
+        if let Some(dl) = job.deadline {
             if enqueued.elapsed() >= dl {
                 deliver_deadline(inner, &handle, dl, job.spec.name);
                 continue;
@@ -1033,7 +913,7 @@ fn worker_loop(inner: &Inner, w: usize) {
             handle: handle.clone(),
             spec: job.spec.name.to_string(),
             enqueued,
-            deadline,
+            deadline: job.deadline,
         });
         // Sits outside the catch_unwind on purpose: an injected panic
         // here kills this worker thread, exercising the supervisor's
@@ -1049,40 +929,28 @@ fn worker_loop(inner: &Inner, w: usize) {
             // done. Drop the late result.
             continue;
         }
-        let stolen = match &result {
-            Ok(outcome) => {
-                pif_obs::log::info(
-                    "pif_lab::service",
-                    "job completed",
-                    &[
-                        ("spec", &job.spec.name),
-                        ("queue_wait_us", &wait_us),
-                        ("exec_us", &exec_us),
-                        ("cached_cells", &outcome.cached_cells),
-                        ("executed_cells", &outcome.executed_cells),
-                    ],
-                );
-                outcome.stolen_jobs
-            }
+        match &result {
+            Ok(outcome) => pif_obs::log::info(
+                "pif_lab::service",
+                "job completed",
+                &[
+                    ("spec", &job.spec.name),
+                    ("queue_wait_us", &wait_us),
+                    ("exec_us", &exec_us),
+                    ("cached_cells", &outcome.cached_cells),
+                    ("executed_cells", &outcome.executed_cells),
+                ],
+            ),
             Err(e) => {
                 inner.metrics.jobs_failed.inc();
                 pif_obs::log::error("pif_lab::service", "job failed", &[("error", e)]);
-                0
             }
-        };
+        }
+        // Counters update before delivery, so a client that waited on
+        // the handle observes its own job in the stats.
         inner.metrics.queue_wait_us.record(wait_us);
         inner.metrics.exec_us.record(exec_us);
         inner.metrics.jobs_completed.inc();
-        inner.metrics.stolen_jobs.add(stolen);
-        // Counters update before delivery, so a client that waited on
-        // the handle observes its own job in the stats.
-        {
-            let mut state = inner.lock_state();
-            state.completed += 1;
-            state.queue_wait.record(wait_us);
-            state.exec.record(exec_us);
-            state.stolen_jobs += stolen;
-        }
         handle.fulfill(result);
     }
 }
@@ -1117,13 +985,11 @@ fn run_one(inner: &Inner, job: &SweepJob) -> Result<SweepOutcome, JobError> {
             SweepRunStats {
                 cached_cells,
                 executed_cells,
-                stolen_jobs,
             },
         )) => Ok(SweepOutcome {
             report,
             cached_cells,
             executed_cells,
-            stolen_jobs,
         }),
         Err(panic) => {
             let msg = panic
@@ -1158,30 +1024,16 @@ mod tests {
     }
 
     #[test]
-    fn pool_parallel_map_preserves_order() {
-        let out = Pool::new(4).parallel_map(vec![1, 2, 3, 4], |x| x * 10);
-        assert_eq!(out, vec![10, 20, 30, 40]);
-    }
-
-    #[test]
-    fn pool_steal_stats_zero_on_single_worker() {
-        let (out, stats) = Pool::new(1).run_indexed_stats(9, |i| i);
-        assert_eq!(out.len(), 9);
-        assert_eq!(
-            stats,
-            PoolRunStats {
-                jobs: 9,
-                stolen_jobs: 0
-            }
-        );
-    }
-
-    #[test]
     fn latency_summary_folds_and_means() {
-        let mut s = LatencySummary::default();
-        assert_eq!(s.mean_us(), 0.0);
-        s.record(10);
-        s.record(30);
+        assert_eq!(LatencySummary::default().mean_us(), 0.0);
+        let h = pif_obs::Histogram::new();
+        assert_eq!(
+            LatencySummary::from(h.snapshot()),
+            LatencySummary::default()
+        );
+        h.record(10);
+        h.record(30);
+        let s = LatencySummary::from(h.snapshot());
         assert_eq!(
             s,
             LatencySummary {
@@ -1191,8 +1043,6 @@ mod tests {
             }
         );
         assert_eq!(s.mean_us(), 20.0);
-        s.record(u64::MAX);
-        assert_eq!(s.total_us, u64::MAX, "total saturates");
     }
 
     #[test]
@@ -1214,17 +1064,64 @@ mod tests {
         assert_eq!(stats.exec.count, 2);
         assert!(stats.exec.max_us <= stats.exec.total_us);
 
-        let text = service.render_metrics(MetricsFormat::Prometheus);
+        let text = service.render_metrics();
         pif_obs::validate_prometheus(&text).expect("service exposition must validate");
         assert!(text.contains("# TYPE pif_service_exec_us histogram"));
         assert!(text.contains("pif_service_jobs_completed 2"));
+        service.shutdown();
+    }
 
-        let json = service.render_metrics(MetricsFormat::Json);
-        let parsed = crate::json::Json::parse(&json).expect("metrics JSON parses");
+    /// The value of the unlabelled sample `name` in Prometheus text.
+    fn sample(text: &str, name: &str) -> u64 {
+        text.lines()
+            .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("no sample {name} in:\n{text}"))
+    }
+
+    #[test]
+    fn stats_and_metrics_read_one_store() {
+        let service = Service::start(ServiceConfig {
+            queue_depth: 4,
+            threads: 1,
+            ..ServiceConfig::default()
+        });
+        let bad = crate::SweepSpec::new("bad", "bad", crate::Measure::Static)
+            .with_workloads(vec!["No-Such-Workload"]);
+        let jobs = [
+            SweepJob::new(registry::table1(), Scale::tiny()).smoke(true),
+            SweepJob::new(bad, Scale::tiny()).smoke(true),
+            SweepJob::new(registry::table1(), Scale::tiny())
+                .smoke(true)
+                .deadline(Some(Duration::ZERO)),
+        ];
+        let handles: Vec<_> = jobs
+            .into_iter()
+            .map(|job| service.submit(job).expect("queue open"))
+            .collect();
+        handles[0].wait().expect("good job ran");
+        let failed = handles[1].wait().unwrap_err();
+        assert!(matches!(failed, JobError::Failed { .. }), "{failed}");
+        let expired = handles[2].wait().unwrap_err();
+        assert_eq!(expired, JobError::DeadlineExceeded { deadline_ms: 0 });
+
+        let stats = service.stats();
+        assert_eq!(stats.submitted, 3);
+        assert_eq!(stats.completed, 3);
+        assert_eq!(stats.deadline_exceeded, 1);
+        assert_eq!(stats.exec.count, 2, "the expired job never ran");
+        let text = service.render_metrics();
+        assert_eq!(sample(&text, "pif_service_jobs_submitted"), stats.submitted);
+        assert_eq!(sample(&text, "pif_service_jobs_completed"), stats.completed);
         assert_eq!(
-            parsed.get("schema").and_then(|s| s.as_str()),
-            Some("pif-obs/v1")
+            sample(&text, "pif_service_deadline_exceeded"),
+            stats.deadline_exceeded
         );
+        assert_eq!(sample(&text, "pif_service_exec_us_count"), stats.exec.count);
+        assert_eq!(
+            sample(&text, "pif_service_exec_us_sum"),
+            stats.exec.total_us
+        );
+        assert_eq!(sample(&text, "pif_service_jobs_failed"), 2);
         service.shutdown();
     }
 

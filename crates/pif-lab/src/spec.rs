@@ -45,26 +45,21 @@ impl PrefetcherKind {
     }
 }
 
-/// One typed parameter sweep over the simulator/PIF configuration.
+/// One typed parameter sweep over the PIF configuration.
 ///
 /// Each variant names the knob and carries the values to sweep; applying
-/// point `i` mutates the cell's [`PifConfig`] / [`EngineConfig`] through
-/// the config-sweep setters.
+/// point `i` mutates the cell's [`PifConfig`] through the config-sweep
+/// setters. The simulator's [`EngineConfig`] is the spec's base for every
+/// point.
 #[derive(Debug, Clone)]
 pub enum ParamAxis {
     /// No parameter sweep: a single grid point.
     Unit,
     /// PIF history-buffer capacity in region records (Fig. 9 right).
     HistoryCapacity(Vec<usize>),
-    /// Number of stream address buffers (SAB pool depth).
-    SabCount(Vec<usize>),
-    /// SAB stream-window length in regions.
-    SabWindow(Vec<usize>),
     /// Total spatial-region size in blocks, skewed per the paper
     /// (Fig. 8 right).
     RegionBlocks(Vec<u8>),
-    /// L1-I capacity in bytes (cache-geometry sweeps).
-    ICacheCapacity(Vec<usize>),
     /// Named full PIF design points (ablation grids).
     PifPoints(Vec<(String, PifConfig)>),
     /// Sample counts for [`Measure::Sampled`] grids (the `fig-sampling`
@@ -79,10 +74,7 @@ impl ParamAxis {
         match self {
             ParamAxis::Unit => "unit",
             ParamAxis::HistoryCapacity(_) => "history_capacity",
-            ParamAxis::SabCount(_) => "sab_count",
-            ParamAxis::SabWindow(_) => "sab_window",
             ParamAxis::RegionBlocks(_) => "region_blocks",
-            ParamAxis::ICacheCapacity(_) => "icache_capacity_bytes",
             ParamAxis::PifPoints(_) => "pif_point",
             ParamAxis::SampleCount(_) => "sample_count",
         }
@@ -94,10 +86,7 @@ impl ParamAxis {
         match self {
             ParamAxis::Unit => 1,
             ParamAxis::HistoryCapacity(v) => v.len(),
-            ParamAxis::SabCount(v) => v.len(),
-            ParamAxis::SabWindow(v) => v.len(),
             ParamAxis::RegionBlocks(v) => v.len(),
-            ParamAxis::ICacheCapacity(v) => v.len(),
             ParamAxis::PifPoints(v) => v.len(),
             ParamAxis::SampleCount(v) => v.len(),
         }
@@ -113,29 +102,21 @@ impl ParamAxis {
         match self {
             ParamAxis::Unit => "-".to_string(),
             ParamAxis::HistoryCapacity(v) => v[i].to_string(),
-            ParamAxis::SabCount(v) => v[i].to_string(),
-            ParamAxis::SabWindow(v) => v[i].to_string(),
             ParamAxis::RegionBlocks(v) => v[i].to_string(),
-            ParamAxis::ICacheCapacity(v) => v[i].to_string(),
             ParamAxis::PifPoints(v) => v[i].0.clone(),
             ParamAxis::SampleCount(v) => v[i].to_string(),
         }
     }
 
-    /// Applies point `i` to the cell's configuration pair.
-    pub fn apply(&self, i: usize, pif: &mut PifConfig, engine: &mut EngineConfig) {
+    /// Applies point `i` to the cell's PIF configuration.
+    pub fn apply(&self, i: usize, pif: &mut PifConfig) {
         match self {
             ParamAxis::Unit => {}
             ParamAxis::HistoryCapacity(v) => *pif = pif.with_history_capacity(v[i]),
-            ParamAxis::SabCount(v) => *pif = pif.with_sab_count(v[i]),
-            ParamAxis::SabWindow(v) => *pif = pif.with_sab_window(v[i]),
             ParamAxis::RegionBlocks(v) => {
                 let geometry = pif_types::RegionGeometry::skewed_with_total(v[i])
                     .expect("axis carries valid region sizes");
                 *pif = pif.with_geometry(geometry);
-            }
-            ParamAxis::ICacheCapacity(v) => {
-                *engine = engine.with_icache(engine.icache.with_capacity_bytes(v[i]));
             }
             ParamAxis::PifPoints(v) => *pif = v[i].1,
             // The sample count is not a simulator knob; Measure::Sampled
@@ -385,18 +366,10 @@ mod tests {
     #[test]
     fn axis_apply_mutates_configs() {
         let mut pif = PifConfig::paper_default();
-        let mut engine = EngineConfig::paper_default();
-        ParamAxis::HistoryCapacity(vec![999]).apply(0, &mut pif, &mut engine);
+        ParamAxis::HistoryCapacity(vec![999]).apply(0, &mut pif);
         assert_eq!(pif.history_capacity, 999);
-        ParamAxis::SabCount(vec![2]).apply(0, &mut pif, &mut engine);
-        assert_eq!(pif.sab_count, 2);
-        ParamAxis::SabWindow(vec![3]).apply(0, &mut pif, &mut engine);
-        assert_eq!(pif.sab_window, 3);
-        ParamAxis::RegionBlocks(vec![4]).apply(0, &mut pif, &mut engine);
+        ParamAxis::RegionBlocks(vec![4]).apply(0, &mut pif);
         assert_eq!(pif.geometry.total_blocks(), 4);
-        ParamAxis::ICacheCapacity(vec![128 * 1024]).apply(0, &mut pif, &mut engine);
-        assert_eq!(engine.icache.capacity_bytes, 128 * 1024);
-        assert!(engine.icache.validate().is_ok());
     }
 
     #[test]

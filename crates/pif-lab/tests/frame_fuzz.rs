@@ -8,7 +8,8 @@
 
 use pif_lab::json::Json;
 use pif_lab::protocol::{Request, Response};
-use pif_lab::{CacheStats, LatencySummary, MetricsFormat, Scale};
+use pif_lab::service::ServiceStats;
+use pif_lab::{CacheStats, LatencySummary, Scale};
 use pif_types::rng::SmallRng;
 
 const INPUTS: usize = 4_000;
@@ -23,17 +24,18 @@ fn seed_frames() -> Vec<String> {
         total_us: 900,
         max_us: 400,
     };
-    let stats = |cache| Response::Stats {
-        submitted: 4,
-        completed: 3,
-        max_queue_depth: 2,
-        queue_wait: latency,
-        exec: latency,
-        stolen_jobs: 1,
-        deadline_exceeded: 1,
-        worker_restarts: 0,
-        quarantined: 0,
-        cache,
+    let stats = |cache| {
+        Response::Stats(ServiceStats {
+            submitted: 4,
+            completed: 3,
+            max_queue_depth: 2,
+            queue_wait: latency,
+            exec: latency,
+            deadline_exceeded: 1,
+            worker_restarts: 0,
+            quarantined: 0,
+            cache,
+        })
     };
     let submit = |deadline_ms| Request::Submit {
         id: 7,
@@ -45,12 +47,7 @@ fn seed_frames() -> Vec<String> {
     let requests = [
         Request::Ping,
         Request::Stats,
-        Request::Metrics {
-            format: MetricsFormat::Prometheus,
-        },
-        Request::Metrics {
-            format: MetricsFormat::Json,
-        },
+        Request::Metrics,
         Request::Shutdown,
         submit(None),
         submit(Some(30_000)),
@@ -68,12 +65,7 @@ fn seed_frames() -> Vec<String> {
             hash_memo_hits: 12,
         })),
         Response::Metrics {
-            format: MetricsFormat::Prometheus,
             body: "# TYPE pif_x counter\npif_x 2\n".to_string(),
-        },
-        Response::Metrics {
-            format: MetricsFormat::Json,
-            body: "{\"schema\": \"pif-obs/v1\", \"metrics\": []}".to_string(),
         },
         Response::Report {
             request_id: 7,

@@ -116,13 +116,9 @@ fn daemon_round_trip_over_tcp() {
         assert_eq!(candidates.len(), registry::all_specs().len());
 
         match exchange(&stream, &Request::Stats) {
-            Response::Stats {
-                submitted,
-                completed,
-                ..
-            } => {
-                assert_eq!(submitted, 3);
-                assert_eq!(completed, 3);
+            Response::Stats(stats) => {
+                assert_eq!(stats.submitted, 3);
+                assert_eq!(stats.completed, 3);
             }
             other => panic!("expected stats, got {other:?}"),
         }
@@ -496,8 +492,8 @@ fn hostile_frames_get_bad_request_and_the_daemon_survives() {
     );
     assert_eq!(at_cap_reply, Response::Pong, "a frame at the cap is served");
     match stats {
-        Response::Stats { submitted, .. } => {
-            assert_eq!(submitted, 0, "no hostile frame reached the queue")
+        Response::Stats(stats) => {
+            assert_eq!(stats.submitted, 0, "no hostile frame reached the queue")
         }
         other => panic!("expected stats, got {other:?}"),
     }

@@ -1,14 +1,13 @@
-//! Exposition: renders a [`Registry`] as Prometheus text or JSON.
+//! Exposition: renders a [`Registry`] as Prometheus text.
 //!
-//! Both renderers are hand-rolled (no serde) and deterministic for a
-//! fixed snapshot: metrics appear in registration order, histogram
-//! buckets in ascending bound order. [`validate_prometheus`] is the
-//! other half of the contract — CI scrapes the daemon's `metrics` verb
-//! and rejects malformed exposition text.
+//! The renderer is hand-rolled (no serde) and deterministic for a fixed
+//! snapshot: metrics appear in registration order, histogram buckets in
+//! ascending bound order. [`validate_prometheus`] is the other half of
+//! the contract — `piflab metrics` checks every scrape of the daemon's
+//! `metrics` verb with it and rejects malformed exposition text.
 
 use std::fmt::Write as _;
 
-use crate::json::escape;
 use crate::metrics::{bucket_bound, MetricValue, Registry, HIST_BUCKETS};
 
 /// Renders `registry` in the Prometheus text exposition format
@@ -45,62 +44,6 @@ pub fn render_prometheus(registry: &Registry) -> String {
             }
         }
     }
-    out
-}
-
-/// Renders `registry` as a `pif-obs/v1` JSON document.
-///
-/// Shape:
-///
-/// ```json
-/// {"schema": "pif-obs/v1", "metrics": [
-///   {"name": "...", "type": "counter", "help": "...", "value": 42},
-///   {"name": "...", "type": "gauge", "help": "...", "value": 7},
-///   {"name": "...", "type": "histogram", "help": "...",
-///    "count": 5, "sum": 123, "max": 64, "buckets": [0, 1, ...]}
-/// ]}
-/// ```
-///
-/// `buckets` always has [`HIST_BUCKETS`] entries (raw per-bucket counts,
-/// not cumulative). All numbers are unsigned integers, so the document
-/// round-trips exactly through any JSON parser that preserves `u64`.
-pub fn render_json(registry: &Registry) -> String {
-    let mut out = String::from("{\"schema\": \"pif-obs/v1\", \"metrics\": [");
-    for (i, metric) in registry.snapshot().iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(
-            out,
-            "{{\"name\": \"{}\", \"type\": \"{}\", \"help\": \"{}\", ",
-            escape(&metric.name),
-            metric.value.kind().as_str(),
-            escape(&metric.help)
-        );
-        match &metric.value {
-            MetricValue::Counter(v) | MetricValue::Gauge(v) => {
-                let _ = write!(out, "\"value\": {v}}}");
-            }
-            MetricValue::Histogram(h) => {
-                let _ = write!(
-                    out,
-                    "\"count\": {}, \"sum\": {}, \"max\": {}, ",
-                    h.count(),
-                    h.sum,
-                    h.max
-                );
-                out.push_str("\"buckets\": [");
-                for (j, b) in h.buckets.iter().enumerate() {
-                    if j > 0 {
-                        out.push_str(", ");
-                    }
-                    let _ = write!(out, "{b}");
-                }
-                out.push_str("]}");
-            }
-        }
-    }
-    out.push_str("]}");
     out
 }
 
@@ -219,32 +162,5 @@ mod tests {
         assert!(validate_prometheus("# TYPE 9bad counter\n").is_err());
         assert!(validate_prometheus("# TYPE pif_x summary\n").is_err());
         assert!(validate_prometheus("").is_ok(), "empty exposition is fine");
-    }
-
-    #[test]
-    fn json_document_has_schema_and_buckets() {
-        let json = render_json(&sample_registry());
-        assert!(json.starts_with("{\"schema\": \"pif-obs/v1\""));
-        assert!(json.contains("\"name\": \"pif_exec_us\""));
-        assert!(json.contains("\"count\": 3"));
-        let buckets = json.split("\"buckets\": [").nth(1).unwrap();
-        let buckets = buckets.split(']').next().unwrap();
-        assert_eq!(buckets.split(", ").count(), HIST_BUCKETS);
-    }
-
-    #[test]
-    fn json_document_escapes_names_and_help() {
-        let reg = Registry::new();
-        let help = "a \"quoted\"\tline\\\n\u{1}";
-        reg.counter("pif_x", help).add(1);
-        let json = render_json(&reg);
-        assert_eq!(
-            json,
-            "{\"schema\": \"pif-obs/v1\", \"metrics\": [{\"name\": \"pif_x\", \"type\": \
-             \"counter\", \"help\": \"a \\\"quoted\\\"\\tline\\\\\\n\\u0001\", \"value\": 1}]}"
-        );
-        let doc = crate::json::Json::parse(&json).unwrap();
-        let metric = &doc.get("metrics").unwrap().as_arr().unwrap()[0];
-        assert_eq!(metric.get("help").unwrap().as_str(), Some(help));
     }
 }

@@ -22,7 +22,9 @@ fn main() {
         "TL1",
         "FetchStall",
     ]);
-    let rows = pif_lab::Pool::default().parallel_map(scale.workloads(), |w| {
+    let workloads = scale.workloads();
+    let rows = pif_lab::Pool::default().run_indexed(workloads.len(), |i| {
+        let w = &workloads[i];
         let trace = w.generate(scale.instructions);
         let stats = trace.stats();
         let report = engine.run(
